@@ -56,7 +56,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from ufolab.adapter import attach, init_adapter  # noqa: E402
+from ufolab.adapter import compose, init_adapter  # noqa: E402
 from ufolab.adapter import save_adapter  # noqa: E402
 from ufolab.diffusion import sample  # noqa: E402
 from ufolab.fileio import atomic_write_bytes  # noqa: E402
@@ -151,7 +151,7 @@ def train_stage(name, assets=ASSETS, steps=None, probe_every=PROBE_EVERY):
         else:
             stream_kind = "static"
             data = clip_stream(BATCH, seed=stage.stream_seed, static=True)
-        stack = attach(model, adapter, 1.0)
+        stack = compose(model, [(adapter, 1.0)])
 
     probes = {}
 

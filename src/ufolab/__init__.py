@@ -3,7 +3,6 @@
 from .adapter import (
     AdapterStack,
     UfoAdapter,
-    attach,
     compose,
     delta_identity_check,
     init_adapter,

@@ -64,10 +64,8 @@ def adapted_linear(w, x, v_det, v_cor, beta, alpha, bias=None) -> Tensor:
         y = T.add(y, bias)
     alpha = float(alpha)
     if alpha != 0.0:
-        beta_t = beta if isinstance(beta, Tensor) else Tensor(np.asarray(beta, dtype=y.dtype))
-        detect = T.matmul(x2, v_det)                  # (rows, d)
-        correct = T.matmul(detect, T.transpose(v_cor))  # (rows, m)
-        y = T.add(y, T.mul(correct, T.mul(beta_t, alpha)))
+        beta = beta if isinstance(beta, Tensor) else Tensor(np.asarray(beta, dtype=y.dtype))
+        y = AdapterLayer(v_det, v_cor, beta).correct(x2, y, alpha)
     if single:
         return T.reshape(y, (m,))
     return T.reshape(y, x.shape[:-1] + (m,))
@@ -78,6 +76,25 @@ class AdapterLayer:
     v_det: Tensor  # (n, d)
     v_cor: Tensor  # (m, d)
     beta: Tensor   # scalar
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(out_features, in_features) of the affine layer this adapts."""
+        return self.v_cor.shape[0], self.v_det.shape[0]
+
+    def correct(self, x2: Tensor, y: Tensor, alpha: float) -> Tensor:
+        """y + alpha * beta * v_cor (v_det^T x) for the input rows x2: the one
+        implementation of the correction term, behind both AdapterStack.apply
+        and adapted_linear."""
+        detect = T.matmul(x2, self.v_det)                  # (rows, d)
+        correct = T.matmul(detect, T.transpose(self.v_cor))  # (rows, m)
+        return T.add(y, T.mul(correct, T.mul(self.beta, alpha)))
+
+
+def layer_spec(m: int, n: int, rank: int) -> tuple:
+    """(part, shape) of one adapted (m, n) layer, in the order of the adapter's
+    parameters, of its file payload and of its initial draws."""
+    return ("v_det", (n, rank)), ("v_cor", (m, rank)), ("beta", ())
 
 
 KINDS = ("consistency", "stylization")
@@ -102,21 +119,17 @@ class UfoAdapter:
 
     def parameter_count(self) -> int:
         # d * (m + n) + 1 per adapted layer
-        return sum(l.v_det.size + l.v_cor.size + 1 for l in self.layers.values())
+        return sum(t.size for t in self.parameters().values())
 
     def set_trainable(self, flag: bool) -> None:
-        for layer in self.layers.values():
-            for t in (layer.v_det, layer.v_cor, layer.beta):
-                t.requires_grad = flag
-                t.grad = None
+        for t in self.parameters().values():
+            t.requires_grad = flag
+            t.grad = None
 
     def parameters(self) -> "OrderedDict[str, Tensor]":
-        out: "OrderedDict[str, Tensor]" = OrderedDict()
-        for name, layer in self.layers.items():
-            out[f"{name}.v_det"] = layer.v_det
-            out[f"{name}.v_cor"] = layer.v_cor
-            out[f"{name}.beta"] = layer.beta
-        return out
+        return OrderedDict((f"{name}.{part}", getattr(layer, part))
+                           for name, layer in self.layers.items()
+                           for part, _ in layer_spec(*layer.shape, self.rank))
 
 
 def init_adapter(model: DiffusionModel, rank: int = 4, targets=None, seed: int = 0,
@@ -143,15 +156,13 @@ def init_adapter(model: DiffusionModel, rank: int = 4, targets=None, seed: int =
     if unknown:
         raise ContractError(f"targets {unknown} are not adaptable layers of this model")
     rng = np.random.default_rng(seed)
-    dt = model.config.np_dtype
+    init = {"v_det": lambda shape: rng.normal(size=shape) / np.sqrt(shape[0]),
+            "v_cor": np.zeros, "beta": np.ones}
     layers: "OrderedDict[str, AdapterLayer]" = OrderedDict()
     for name in sorted(targets, key=lambda t: list(layer_shapes).index(t)):
-        m, n = layer_shapes[name]
-        layers[name] = AdapterLayer(
-            v_det=Tensor((rng.normal(size=(n, rank)) / np.sqrt(n)).astype(dt), requires_grad=True),
-            v_cor=Tensor(np.zeros((m, rank), dtype=dt), requires_grad=True),
-            beta=Tensor(np.asarray(1.0, dtype=dt), requires_grad=True),
-        )
+        layers[name] = AdapterLayer(**{
+            part: Tensor(init[part](shape).astype(model.config.np_dtype), requires_grad=True)
+            for part, shape in layer_spec(*layer_shapes[name], rank)})
     return UfoAdapter(rank, fingerprint(model), layers, kind,
                       float(recommended_alpha), dict(meta or {}))
 
@@ -189,43 +200,37 @@ class AdapterStack:
         self.entries = sorted(cleaned, key=lambda e: (adapter_digest(e[0]), e[1]))
 
     def check_model(self, model: DiffusionModel) -> None:
+        """Raise FingerprintError naming the first adapted layer that `model`
+        lacks or shapes differently, for any entry not trained against it."""
         fp = fingerprint(model)
         for adapter, _ in self.entries:
-            if adapter.fingerprint != fp:
-                raise FingerprintError(
-                    f"adapter fingerprint {adapter.fingerprint[:12]}... does not match "
-                    f"model fingerprint {fp[:12]}...")
+            if adapter.fingerprint == fp:
+                continue
+            have = {name: (m, n) for name, m, n in adaptable_layers(model)}
+            for name, layer in adapter.layers.items():
+                if name not in have:
+                    raise FingerprintError(f"model has no adaptable layer {name!r} "
+                                           f"(adapter expects shape {layer.shape})")
+                if have[name] != layer.shape:
+                    raise FingerprintError(f"layer {name!r} has shape {have[name]} "
+                                           f"on the model but {layer.shape} in the adapter")
+            raise FingerprintError(
+                "model architecture differs outside the adapted layers "
+                f"(fingerprint {fp[:12]}... vs {adapter.fingerprint[:12]}...)")
 
     def apply(self, name: str, x2: Tensor, y: Tensor) -> Tensor:
         for adapter, alpha in self.entries:
-            if alpha == 0.0:
-                continue
             layer = adapter.layers.get(name)
-            if layer is None:
-                continue
-            detect = T.matmul(x2, layer.v_det)
-            correct = T.matmul(detect, T.transpose(layer.v_cor))
-            y = T.add(y, T.mul(correct, T.mul(layer.beta, alpha)))
+            if alpha != 0.0 and layer is not None:
+                y = layer.correct(x2, y, alpha)
         return y
 
 
-def attach(model: DiffusionModel, adapter: UfoAdapter, alpha: float) -> AdapterStack:
-    stack = AdapterStack([(adapter, alpha)])
-    stack.check_model(model)
-    return stack
-
-
 def compose(model: DiffusionModel, pairs) -> AdapterStack:
+    """The checked way to build a stack: (adapter, alpha) pairs bound to `model`."""
     stack = AdapterStack(list(pairs))
     stack.check_model(model)
     return stack
-
-
-def _entry_parts(entry):
-    if isinstance(entry, AdapterLayer):
-        return entry.v_det, entry.v_cor, entry.beta
-    v_det, v_cor, beta = entry
-    return v_det, v_cor, beta
 
 
 def delta_identity_check(x_t, x_tn, w, entry, alpha) -> float:
@@ -238,7 +243,7 @@ def delta_identity_check(x_t, x_tn, w, entry, alpha) -> float:
     def as64(t):
         return np.asarray(t.data if isinstance(t, Tensor) else t, dtype=np.float64)
 
-    v_det, v_cor, beta = _entry_parts(entry)
+    v_det, v_cor, beta = entry
     x_t, x_tn, w = as64(x_t), as64(x_tn), as64(w)
     v_det, v_cor, beta = as64(v_det), as64(v_cor), as64(beta)
     if x_t.shape != x_tn.shape:
@@ -254,27 +259,8 @@ def delta_identity_check(x_t, x_tn, w, entry, alpha) -> float:
 
 def transfer(adapter: UfoAdapter, target: DiffusionModel,
              alpha: float | None = None) -> AdapterStack:
-    """Attach an adapter trained elsewhere to a same-architecture model.
-
-    Defaults the intensity to the adapter's recommended_alpha.  On fingerprint
-    mismatch the error names the first adapted layer the target lacks or
-    shapes differently.
-    """
-    if adapter.fingerprint != fingerprint(target):
-        have = {name: (m, n) for name, m, n in adaptable_layers(target)}
-        for name, layer in adapter.layers.items():
-            shape = (layer.v_cor.shape[0], layer.v_det.shape[0])
-            if name not in have:
-                raise FingerprintError(f"target has no adaptable layer {name!r} "
-                                       f"(adapter expects shape {shape})")
-            if have[name] != shape:
-                raise FingerprintError(f"layer {name!r} has shape {have[name]} "
-                                       f"on the target but {shape} in the adapter")
-        raise FingerprintError(
-            "target architecture differs outside the adapted layers "
-            f"(fingerprint {fingerprint(target)[:12]}... vs {adapter.fingerprint[:12]}...)")
-    return attach(target, adapter,
-                  adapter.recommended_alpha if alpha is None else alpha)
+    """`compose` for one adapter trained elsewhere, at its recommended_alpha by default."""
+    return compose(target, [(adapter, adapter.recommended_alpha if alpha is None else alpha)])
 
 
 # ---------------------------------------------------------------------------
@@ -282,22 +268,17 @@ def transfer(adapter: UfoAdapter, target: DiffusionModel,
 # ---------------------------------------------------------------------------
 
 def save_adapter(adapter: UfoAdapter, path) -> None:
-    names = list(adapter.layers.keys())
     header = {
         "kind": adapter.kind,
         "recommended_alpha": adapter.recommended_alpha,
         "rank": adapter.rank,
         "fingerprint": adapter.fingerprint,
-        "layer_names": names,
-        "layer_shapes": [[adapter.layers[n].v_cor.shape[0],
-                          adapter.layers[n].v_det.shape[0]] for n in names],
+        "layer_names": list(adapter.layers),
+        "layer_shapes": [list(layer.shape) for layer in adapter.layers.values()],
         "meta": adapter.meta,
     }
-    arrays = []
-    for n in names:
-        layer = adapter.layers[n]
-        arrays.extend([layer.v_det.data, layer.v_cor.data, layer.beta.data])
-    write_container(path, ADAPTER_MAGIC, header, arrays)
+    write_container(path, ADAPTER_MAGIC, header,
+                    [t.data for t in adapter.parameters().values()])
 
 
 def load_adapter(path) -> UfoAdapter:
@@ -320,22 +301,16 @@ def load_adapter(path) -> UfoAdapter:
     if (not isinstance(names, list) or not isinstance(shapes, list)
             or len(names) != len(shapes) or not names):
         raise FormatError("adapter layer registry is malformed")
-    specs = []
     for name, shape in zip(names, shapes):
         if (not isinstance(shape, list) or len(shape) != 2
                 or not all(isinstance(s, int) and s > 0 for s in shape)):
             raise FormatError(f"bad layer shape {shape!r} for '{name}'")
-        m, n = shape
-        specs.extend([(f"{name}.v_det", (n, rank)), (f"{name}.v_cor", (m, rank)),
-                      (f"{name}.beta", ())])
-    arrays = unpack_arrays(payload, at, specs)
-    layers: "OrderedDict[str, AdapterLayer]" = OrderedDict()
-    for name in names:
-        layers[name] = AdapterLayer(
-            v_det=Tensor(arrays[f"{name}.v_det"]),
-            v_cor=Tensor(arrays[f"{name}.v_cor"]),
-            beta=Tensor(arrays[f"{name}.beta"]),
-        )
+    specs = [(name, layer_spec(*shape, rank)) for name, shape in zip(names, shapes)]
+    arrays = unpack_arrays(payload, at, [(f"{name}.{part}", shape)
+                                         for name, spec in specs for part, shape in spec])
+    layers = OrderedDict((name, AdapterLayer(**{part: Tensor(arrays[f"{name}.{part}"])
+                                                for part, _ in spec}))
+                         for name, spec in specs)
     meta = header.get("meta", {})
     return UfoAdapter(rank, header["fingerprint"], layers, kind, float(rec_alpha),
                       meta if isinstance(meta, dict) else {})

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .adapter import attach, compose, init_adapter, load_adapter, save_adapter
+from .adapter import compose, init_adapter, load_adapter, save_adapter
 from .config import load_config, resolve_path
 from .diffusion import DEFAULT_SAMPLE_STEPS, sample
 from .errors import (
@@ -108,9 +108,6 @@ def _load_stack(model, ufo_paths, alphas):
 
 def cmd_generate(args) -> int:
     model = load_model(resolve_path(args.base))
-    if args.steps > model.config.timesteps:
-        raise ContractError(
-            f"--steps {args.steps} exceeds the model's {model.config.timesteps} timesteps")
     stack = _load_stack(model, args.ufo, args.alpha)
     vids = sample(model, [args.condition], [args.seed], stack=stack, steps=args.steps)
     clip = Clip(vids[0], fps=model.config.fps,
@@ -153,16 +150,12 @@ def cmd_sweep(args) -> int:
     seeds = args.seeds
     if len(set(seeds)) != len(seeds):
         raise ContractError("--seeds must be distinct (matched-seed protocol)")
-    if args.steps > model.config.timesteps:
-        raise ContractError(
-            f"--steps {args.steps} exceeds the model's {model.config.timesteps} timesteps")
     conditions = args.conditions if args.conditions else list(DEFAULT_CONDITIONS)
     conds = np.array([conditions[i % len(conditions)] for i in range(len(seeds))])
-    outdir = resolve_path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = resolve_path(args.out)  # created by the first report write
 
     def clips_at(alpha):
-        stack = None if alpha == 0.0 else attach(model, adapter, alpha)
+        stack = None if alpha == 0.0 else compose(model, [(adapter, alpha)])
         vids = sample(model, conds, seeds, stack=stack, steps=args.steps)
         return [Clip(v, fps=model.config.fps,
                      meta={"condition": int(c), "seed": int(s)})

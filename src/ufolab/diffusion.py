@@ -122,7 +122,10 @@ def respace_schedule(sched: Schedule, ts: np.ndarray) -> Schedule:
 
 def sample(model: DiffusionModel, cond, seeds, stack=None,
            steps: int = DEFAULT_SAMPLE_STEPS) -> np.ndarray:
-    """Generate one video per (condition, seed) pair; returns (B, F, H, W, C) in [0, 1]."""
+    """Generate one video per (condition, seed) pair; returns (B, F, H, W, C) in [0, 1].
+
+    `steps` may not exceed the model's timesteps (ContractError).
+    """
     cfg = model.config
     cond = np.atleast_1d(np.asarray(cond))
     seeds = np.atleast_1d(np.asarray(seeds))
@@ -133,6 +136,8 @@ def sample(model: DiffusionModel, cond, seeds, stack=None,
     shape = (cfg.frames, cfg.height, cfg.width, cfg.channels)
 
     ts = respace_timesteps(cfg.timesteps, steps)
+    if steps > cfg.timesteps:
+        raise ContractError(f"steps {steps} exceeds the model's {cfg.timesteps} timesteps")
     sub = respace_schedule(model.sched, ts)
     k_steps = len(ts)
 

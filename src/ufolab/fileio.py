@@ -81,7 +81,10 @@ def read_container(path, magic: bytes) -> tuple[dict, bytes, int]:
 
 
 def unpack_arrays(payload: bytes, payload_at: int, specs) -> dict[str, np.ndarray]:
-    """Slice `payload` into named float32 arrays per (name, shape) specs."""
+    """Slice `payload` into named float32 arrays per (name, shape) specs.
+
+    A stored weight that is NaN or infinite is damage, not data: FormatError.
+    """
     out: dict[str, np.ndarray] = {}
     cursor = 0
     for name, shape in specs:
@@ -92,6 +95,9 @@ def unpack_arrays(payload: bytes, payload_at: int, specs) -> dict[str, np.ndarra
             raise FormatError(f"payload ends inside array '{name}'",
                               offset=payload_at + cursor + len(chunk))
         arr = np.frombuffer(chunk, dtype="<f4").reshape(shape)
+        if not np.isfinite(arr).all():
+            raise FormatError(f"array '{name}' holds non-finite values",
+                              offset=payload_at + cursor)
         out[name] = arr.astype(np.float32, copy=True)
         cursor += nbytes
     if cursor != len(payload):

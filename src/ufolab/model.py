@@ -107,8 +107,9 @@ class DiffusionModel:
         return OrderedDict((k, v) for k, v in self.params.items() if v.requires_grad)
 
 
-def _affine_specs(cfg: ModelConfig) -> list[tuple[str, int, int]]:
+def adaptable_layers(model_or_cfg) -> list[tuple[str, int, int]]:
     """Ordered (name, out_features, in_features) for every block affine layer."""
+    cfg = model_or_cfg.config if isinstance(model_or_cfg, DiffusionModel) else model_or_cfg
     specs = []
     for b in range(cfg.blocks):
         for attn in ("tattn", "sattn"):
@@ -119,52 +120,46 @@ def _affine_specs(cfg: ModelConfig) -> list[tuple[str, int, int]]:
     return specs
 
 
-def adaptable_layers(model_or_cfg) -> list[tuple[str, int, int]]:
-    cfg = model_or_cfg.config if isinstance(model_or_cfg, DiffusionModel) else model_or_cfg
-    return _affine_specs(cfg)
-
-
 def fingerprint(model_or_cfg) -> str:
     """sha256 over the ordered adaptable-layer names and shapes (never weights)."""
     text = ";".join(f"{name}:{m}:{n}" for name, m, n in adaptable_layers(model_or_cfg))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def build_model(cfg: ModelConfig, seed: int = 0) -> DiffusionModel:
-    """Fresh model with N(0, 0.02) weights and zero-initialized output heads."""
-    rng = np.random.default_rng(seed)
-    dt = cfg.np_dtype
+def param_specs(cfg: ModelConfig) -> list[tuple[str, tuple, str]]:
+    """Ordered (name, shape, init) for every parameter: the registry that
+    build_model draws in, checkpoints store, and load_model checks against.
 
-    def normal(*shape):
-        return Tensor((rng.normal(size=shape) * _INIT_STD).astype(dt), requires_grad=True)
-
-    def zeros(*shape):
-        return Tensor(np.zeros(shape, dtype=dt), requires_grad=True)
-
-    def ones(*shape):
-        return Tensor(np.ones(shape, dtype=dt), requires_grad=True)
-
-    p: "OrderedDict[str, Tensor]" = OrderedDict()
-    p["patch_embed.w"] = normal(cfg.dim, cfg.patch_dim)
-    p["patch_embed.b"] = zeros(cfg.dim)
-    p["pos_emb"] = normal(cfg.frames, cfg.sites, cfg.dim)
-    p["t_table"] = normal(cfg.timesteps, cfg.dim)
-    p["cond_table"] = normal(cfg.cond_vocab, cfg.dim)
+    `init` is "normal" (N(0, 0.02)), "zeros" or "ones"; the output heads start
+    at zero, so a fresh model predicts zero noise and mid-interpolation variance.
+    """
+    d = cfg.dim
+    specs = [("patch_embed.w", (d, cfg.patch_dim), "normal"),
+             ("patch_embed.b", (d,), "zeros"),
+             ("pos_emb", (cfg.frames, cfg.sites, d), "normal"),
+             ("t_table", (cfg.timesteps, d), "normal"),
+             ("cond_table", (cfg.cond_vocab, d), "normal")]
     for b in range(cfg.blocks):
         for ln in ("ln1", "ln2", "ln3"):
-            p[f"block{b}.{ln}.g"] = ones(cfg.dim)
-            p[f"block{b}.{ln}.b"] = zeros(cfg.dim)
-    for name, m, n in _affine_specs(cfg):
-        p[name + ".w"] = normal(m, n)
-        p[name + ".b"] = zeros(m)
-    p["final_ln.g"] = ones(cfg.dim)
-    p["final_ln.b"] = zeros(cfg.dim)
-    # zero heads: the fresh model predicts zero noise and mid-interpolation variance
-    p["head_eps.w"] = zeros(cfg.patch_dim, cfg.dim)
-    p["head_eps.b"] = zeros(cfg.patch_dim)
-    p["head_sigma.w"] = zeros(cfg.patch_dim, cfg.dim)
-    p["head_sigma.b"] = zeros(cfg.patch_dim)
-    return DiffusionModel(cfg, p)
+            specs += [(f"block{b}.{ln}.g", (d,), "ones"), (f"block{b}.{ln}.b", (d,), "zeros")]
+    for name, m, n in adaptable_layers(cfg):
+        specs += [(name + ".w", (m, n), "normal"), (name + ".b", (m,), "zeros")]
+    specs += [("final_ln.g", (d,), "ones"), ("final_ln.b", (d,), "zeros")]
+    for head in ("head_eps", "head_sigma"):
+        specs += [(head + ".w", (cfg.patch_dim, d), "zeros"),
+                  (head + ".b", (cfg.patch_dim,), "zeros")]
+    return specs
+
+
+def build_model(cfg: ModelConfig, seed: int = 0) -> DiffusionModel:
+    """Fresh model initialised per `param_specs`, drawing in registry order."""
+    rng = np.random.default_rng(seed)
+    init = {"normal": lambda shape: rng.normal(size=shape) * _INIT_STD,
+            "zeros": np.zeros, "ones": np.ones}
+    params = OrderedDict(
+        (name, Tensor(init[kind](shape).astype(cfg.np_dtype), requires_grad=True))
+        for name, shape, kind in param_specs(cfg))
+    return DiffusionModel(cfg, params)
 
 
 # ---------------------------------------------------------------------------
@@ -301,16 +296,13 @@ def load_model(path) -> DiffusionModel:
     cfg = ModelConfig.from_dict(header["config"])
     if cfg.dtype != "float32":
         raise FormatError("model checkpoints are stored in float32 only")
-    reference = build_model(cfg, seed=0)
-    names = header["param_names"]
-    if names != list(reference.params.keys()):
+    specs = param_specs(cfg)
+    if header["param_names"] != [name for name, _, _ in specs]:
         raise FormatError("model header parameter registry does not match the architecture")
-    shapes = [tuple(s) for s in header["param_shapes"]]
-    expected = [reference.params[n].shape for n in names]
-    if shapes != expected:
+    if header["param_shapes"] != [list(shape) for _, shape, _ in specs]:
         raise FormatError("model header parameter shapes do not match the architecture")
     if header["fingerprint"] != fingerprint(cfg):
         raise FormatError("model header fingerprint does not match the architecture")
-    arrays = unpack_arrays(payload, at, zip(names, shapes))
-    params = OrderedDict((n, Tensor(arrays[n], requires_grad=True)) for n in names)
+    arrays = unpack_arrays(payload, at, [(name, shape) for name, shape, _ in specs])
+    params = OrderedDict((name, Tensor(arrays[name], requires_grad=True)) for name, _, _ in specs)
     return DiffusionModel(cfg, params)

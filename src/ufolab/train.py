@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .adapter import AdapterStack, UfoAdapter
+from .adapter import AdapterStack, UfoAdapter, compose
 from .diffusion import training_losses
 from .errors import ContractError, NumericError
 from .fileio import atomic_write_bytes
@@ -179,8 +179,7 @@ def train_base(model: DiffusionModel, data, cfg: TrainConfig,
 def _train_ufo(model: DiffusionModel, adapter: UfoAdapter, data,
                cfg: TrainConfig, log_path=None) -> list[dict]:
     adapter.set_trainable(True)
-    stack = AdapterStack([(adapter, cfg.alpha_train)])
-    stack.check_model(model)
+    stack = compose(model, [(adapter, cfg.alpha_train)])
     unfrozen = [p for p in model.params.values() if p.requires_grad]
     for p in unfrozen:
         p.requires_grad = False

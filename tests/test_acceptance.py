@@ -26,7 +26,6 @@ from ufolab.adapter import (
     AdapterStack,
     UfoAdapter,
     adapted_linear,
-    attach,
     compose,
     delta_identity_check,
     init_adapter,
@@ -100,7 +99,7 @@ class Lab:
             model = self.model(base_key)
             stack = None
             if adapter_key is not None:
-                stack = attach(model, self.adapter(adapter_key), alpha)
+                stack = compose(model, [(self.adapter(adapter_key), alpha)])
             self._videos[key] = sample(model, GRID_CONDS, GRID_SEEDS,
                                        stack=stack, steps=GRID_STEPS)
         return self._videos[key]

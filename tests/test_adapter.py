@@ -5,10 +5,11 @@ import pytest
 
 from ufolab import tensor as T
 from ufolab.adapter import (
+    AdapterLayer,
     AdapterStack,
+    UfoAdapter,
     adapted_linear,
     adapter_digest,
-    attach,
     compose,
     default_targets,
     delta_identity_check,
@@ -111,8 +112,8 @@ def test_stack_alpha_zero_matches_no_stack_bit_for_bit():
     t, c = np.array([1, 4]), np.array([0, 2])
     with T.no_grad():
         base_eps, base_v = forward(model, z, t, c)
-        eps0, v0 = forward(model, z, t, c, stack=attach(model, adapter, 0.0))
-        eps1, _ = forward(model, z, t, c, stack=attach(model, adapter, 0.5))
+        eps0, v0 = forward(model, z, t, c, stack=compose(model, [(adapter, 0.0)]))
+        eps1, _ = forward(model, z, t, c, stack=compose(model, [(adapter, 0.5)]))
     assert np.array_equal(base_eps.data, eps0.data)
     assert np.array_equal(base_v.data, v0.data)
     assert not np.array_equal(base_eps.data, eps1.data)  # the adapter does act
@@ -128,7 +129,7 @@ def test_fresh_adapter_is_no_op_at_any_intensity():
     t, c = np.array([2]), np.array([1])
     with T.no_grad():
         base, _ = forward(model, z, t, c)
-        adapted, _ = forward(model, z, t, c, stack=attach(model, fresh, 1.0))
+        adapted, _ = forward(model, z, t, c, stack=compose(model, [(fresh, 1.0)]))
     assert np.array_equal(base.data, adapted.data)
 
 
@@ -148,25 +149,17 @@ def test_composition_is_order_invariant_to_the_bit():
 
 def test_composition_adds_per_layer_correction_terms():
     rng = np.random.default_rng(7)
-    w = rng.normal(size=(4, 4))
-    x = Tensor(rng.normal(size=(6, 4)))
-    base = Tensor(x.numpy() @ w.T)
-
-    def entry(seed):
-        r = np.random.default_rng(seed)
-        return r.normal(size=(4, 2)), r.normal(size=(4, 2)), float(r.normal())
-
-    deltas = []
-    stack_layers = []
+    x = rng.normal(size=(6, 4))
+    base = x @ rng.normal(size=(4, 4)).T
+    total = base.copy()
+    pairs = []
     for seed, alpha in ((1, 0.3), (2, 0.9)):
-        vd, vc, beta = entry(seed)
-        deltas.append(alpha * beta * (x.numpy() @ vd) @ vc.T)
-        stack_layers.append((vd, vc, beta, alpha))
-    total = base.numpy() + deltas[0] + deltas[1]
-    y = base
-    for vd, vc, beta, alpha in stack_layers:
-        y = T.add(y, T.mul(T.matmul(T.matmul(x, Tensor(vd)), T.transpose(Tensor(vc))),
-                           beta * alpha))
+        r = np.random.default_rng(seed)
+        vd, vc, beta = r.normal(size=(4, 2)), r.normal(size=(4, 2)), r.normal()
+        total += alpha * beta * (x @ vd) @ vc.T
+        layer = AdapterLayer(Tensor(vd), Tensor(vc), Tensor(np.asarray(beta)))
+        pairs.append((UfoAdapter(2, "fp", {"L": layer}), alpha))
+    y = AdapterStack(pairs).apply("L", Tensor(x), Tensor(base))
     assert np.max(np.abs(y.numpy() - total)) < 1e-12
 
 
@@ -189,11 +182,12 @@ def test_fingerprint_gates_attachment():
                                     dim=8, heads=2, mlp_dim=32, blocks=1,
                                     cond_vocab=4, timesteps=5), seed=0)
     adapter = init_adapter(model, rank=2)
-    with pytest.raises(FingerprintError):
-        attach(other, adapter, 0.5)
+    # the default targets keep their shapes; the wider MLP still changes the fingerprint
+    with pytest.raises(FingerprintError, match="outside the adapted layers"):
+        compose(other, [(adapter, 0.5)])
     # same architecture from a different seed accepts the adapter (transfer)
     twin = build_model(TINY, seed=999)
-    attach(twin, adapter, 0.5)
+    compose(twin, [(adapter, 0.5)])
     with pytest.raises(FingerprintError):
         compose(model, [(adapter, 0.1), (init_adapter(other, rank=2), 0.1)])
 
@@ -297,7 +291,7 @@ def test_transfer_same_weights_is_bit_identical(tmp_path):
     save_model(source, path)
     target = load_model(path)
 
-    stack_src = attach(source, adapter, 0.6)
+    stack_src = compose(source, [(adapter, 0.6)])
     stack_tgt = transfer(adapter, target, alpha=0.6)
     rng = np.random.default_rng(8)
     z = rng.normal(size=(2,) + (TINY.frames, TINY.height, TINY.width, TINY.channels))
@@ -322,6 +316,20 @@ def test_transfer_mismatch_names_offending_layer():
     bigger = build_model(ModelConfig(frames=2, height=4, width=4, channels=1,
                                      patch=2, dim=12, heads=2, mlp_dim=16,
                                      blocks=1, cond_vocab=4, timesteps=5), seed=13)
-    with pytest.raises(FingerprintError) as err:
-        transfer(adapter, bigger)
-    assert "block0.tattn.q" in str(err.value)
+    # transfer is compose with a default alpha: both name the first misfit layer
+    for build_stack in (lambda: transfer(adapter, bigger),
+                             lambda: compose(bigger, [(adapter, 0.5)])):
+        with pytest.raises(FingerprintError) as err:
+            build_stack()
+        assert "block0.tattn.q" in str(err.value)
+
+
+def test_adapter_loader_rejects_non_finite_weights(tmp_path):
+    model = build_model(TINY, seed=0)
+    for bad in (np.nan, np.inf):
+        adapter = random_adapter(model, seed=1)
+        next(iter(adapter.layers.values())).v_cor.data[0, 0] = bad
+        path = tmp_path / "a.ufoa"
+        save_adapter(adapter, path)
+        with pytest.raises(FormatError, match="non-finite"):
+            load_adapter(path)

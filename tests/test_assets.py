@@ -4,19 +4,22 @@ The acceptance gate scores these files, so each one must be the file its
 manifest entry describes: same sha256 (no truncation or swap), adapter
 headers that agree with the recorded training config, and adapters trained
 on the base that is committed beside them (no stale stage left behind by the
-resumable script).  A tiny run of scripts/run_experiments.py also checks that
+resumable script).  Tiny runs of scripts/run_experiments.py also check that
 the interframe probe it runs between training steps leaves the trained bytes
-unchanged.
+unchanged, and that the first 20 steps of every stage still give the losses
+its manifest entry recorded, bit for bit.
 """
 
 import hashlib
 import importlib.util
 import json
 import os
+import shutil
 from pathlib import Path
 
 import pytest
 
+import ufolab.train
 from ufolab.adapter import load_adapter
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,14 +51,19 @@ def test_adapter_header_agrees_with_manifest(manifest, name):
     assert entry["base_sha256"] == manifest[entry["base"]]["sha256"]
 
 
-def test_probe_leaves_trained_bytes_unchanged(tmp_path, monkeypatch):
+def load_script(monkeypatch):
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        # the script pins these on import; keep that inside this test
+        # the script pins these on import; keep that inside the calling test
         monkeypatch.setenv(var, os.environ.get(var, "1"))
     spec = importlib.util.spec_from_file_location(
         "run_experiments", ROOT / "scripts" / "run_experiments.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_probe_leaves_trained_bytes_unchanged(tmp_path, monkeypatch):
+    script = load_script(monkeypatch)
     monkeypatch.setattr(script, "PROBE_STEPS", 2)
     for probe_every, out in ((0, tmp_path / "off"), (1, tmp_path / "on")):
         out.mkdir()
@@ -64,3 +72,36 @@ def test_probe_leaves_trained_bytes_unchanged(tmp_path, monkeypatch):
             assert len(entry["probe_interframe"]) == 3 * (probe_every > 0)
     for name in ("base-a.ufom", "ufo-a-d4.ufoa", "ufo-style-a.ufoa"):
         assert (tmp_path / "on" / name).read_bytes() == (tmp_path / "off" / name).read_bytes()
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_first_20_losses_reproduce_the_manifest(tmp_path, monkeypatch, manifest):
+    """Re-run each stage with its real TrainConfig and stop it after 20 steps.
+
+    The full budget is kept (a shorter `steps` would cut the warm-up and so
+    change the lr); the trainer's loss function is wrapped to record each
+    step's l_simple and to stop the run once 20 are in.
+    """
+    script = load_script(monkeypatch)
+    real = ufolab.train.training_losses
+    seen = []
+
+    def first_20(*args, **kwargs):
+        out = real(*args, **kwargs)
+        seen.append(out["l_simple"].item())
+        if len(seen) == 20:
+            raise _Stop
+        return out
+
+    monkeypatch.setattr(ufolab.train, "training_losses", first_20)
+    for base in BASES:  # adapter stages load their base from the assets directory
+        shutil.copy(ASSETS / base, tmp_path / base)
+    for name, stage in script.STAGES.items():
+        seen.clear()
+        with pytest.raises(_Stop):
+            script.train_stage(name, tmp_path)
+        assert seen == manifest[stage.out]["first20_loss_simple"], name
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(BASES)

@@ -16,7 +16,7 @@ import ufolab.tensor as T
 from ufolab.adapter import init_adapter, load_adapter, save_adapter
 from ufolab.cli import main
 from ufolab.config import OUTPUT_ROOT_ENV
-from ufolab.model import ModelConfig, build_model, save_model
+from ufolab.model import ModelConfig, build_model, load_model, save_model
 from ufolab.synthdata import gen_moving_scene, make_static_video
 from ufolab.video import load_clip, save_clip
 
@@ -184,10 +184,30 @@ def test_generate_count_mismatch_exits_2(tmp_path, workspace):
     assert main(base + ["--alpha", "0.1"]) == 2
 
 
-def test_generate_steps_above_timesteps_exits_2(tmp_path, workspace):
-    assert main(["generate", "--base", str(workspace.base), "--condition", "0",
-                 "--seed", "1", "--steps", "9",  # model has T = 8
-                 "--out", str(tmp_path / "x.vclip")]) == 2
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+def test_generate_steps_above_timesteps_exits_2(tmp_path, workspace, command):
+    args = {"generate": ["--condition", "0", "--seed", "1", "--out", str(tmp_path / "x.vclip")],
+            "sweep": ["--ufo", str(workspace.ufo), "--alphas", "0.1", "--seeds", "1",
+                      "--out", str(tmp_path / "s")]}[command]
+    assert main([command, "--base", str(workspace.base), "--steps", "9",  # model has T = 8
+                 *args]) == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_generate_non_finite_artifact_exits_4(tmp_path, workspace, capsys):
+    model = load_model(workspace.base)
+    model.params["head_eps.w"].data[0, 0] = np.nan
+    adapter = load_adapter(workspace.ufo)
+    next(iter(adapter.layers.values())).beta.data[...] = np.inf
+    save_model(model, tmp_path / "nan.ufom")
+    save_adapter(adapter, tmp_path / "inf.ufoa")
+    for base, ufo in ((tmp_path / "nan.ufom", workspace.ufo),
+                      (workspace.base, tmp_path / "inf.ufoa")):
+        assert main(["generate", "--base", str(base), "--ufo", str(ufo), "--alpha", "0.5",
+                     "--condition", "0", "--seed", "1", "--steps", "4",
+                     "--out", str(tmp_path / "x.vclip")]) == 4
+        assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "x.vclip").exists()
 
 
 def test_generate_composes_two_adapters(tmp_path, workspace):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ufolab import tensor as T
-from ufolab.adapter import attach, init_adapter
+from ufolab.adapter import compose, init_adapter
 from ufolab.diffusion import (
     respace_schedule,
     respace_timesteps,
@@ -214,9 +214,9 @@ def test_sampler_zero_intensity_stack_matches_base_bits():
         layer.v_cor.data[...] = rng.normal(size=layer.v_cor.shape) * 0.2
     base = sample(model, cond=[1, 2], seeds=[3, 4], steps=6)
     zero = sample(model, cond=[1, 2], seeds=[3, 4], steps=6,
-                  stack=attach(model, adapter, 0.0))
+                  stack=compose(model, [(adapter, 0.0)]))
     act = sample(model, cond=[1, 2], seeds=[3, 4], steps=6,
-                 stack=attach(model, adapter, 0.7))
+                 stack=compose(model, [(adapter, 0.7)]))
     assert np.array_equal(base, zero)
     assert not np.array_equal(base, act)
 
@@ -225,3 +225,10 @@ def test_sampler_seed_contract():
     model = build_model(TINY, seed=0)
     with pytest.raises(ContractError):
         sample(model, cond=[1, 2], seeds=[3], steps=2)
+
+
+def test_sampler_rejects_more_steps_than_timesteps():
+    model = build_model(TINY, seed=0)  # T = 10
+    assert sample(model, cond=[1], seeds=[3], steps=10).shape == (1, 2, 4, 4, 1)
+    with pytest.raises(ContractError, match="exceeds"):
+        sample(model, cond=[1], seeds=[3], steps=11)

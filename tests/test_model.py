@@ -203,3 +203,12 @@ def test_checkpoint_rejects_damage(tmp_path):
     write_container(path, MODEL_MAGIC, header, [np.zeros(1, dtype=np.float32)])
     with pytest.raises(FormatError):
         load_model(path)
+
+
+def test_checkpoint_rejects_non_finite_weights(tmp_path):
+    model = build_model(ModelConfig(), seed=1)
+    model.params["block1.mlp.fc2.w"].data[3, 5] = np.nan
+    path = tmp_path / "m.ufom"
+    save_model(model, path)
+    with pytest.raises(FormatError, match="'block1.mlp.fc2.w' holds non-finite"):
+        load_model(path)
