@@ -4,7 +4,6 @@ from .adapter import (
     AdapterStack,
     UfoAdapter,
     compose,
-    delta_identity_check,
     init_adapter,
     load_adapter,
     save_adapter,
@@ -26,14 +25,13 @@ from .metrics import (
     consistency_score,
     estimate_flow,
     evaluate_set,
-    excluded_count,
     oft,
     temporal_flicker_score,
     write_metrics_csv,
 )
 from .model import DiffusionModel, ModelConfig, build_model, fingerprint, load_model, save_model
 from .synthdata import clip_stream, gen_moving_scene, make_static_video, render_clip
-from .tensor import Tensor, backward, finite_diff_check, new_tape, no_grad, reset_tape
+from .tensor import Tensor, backward, new_tape, no_grad, reset_tape
 from .train import TrainConfig, train_base, train_ufo_consistency, train_ufo_style
 from .video import Clip, load_clip, save_clip
 

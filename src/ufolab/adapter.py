@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, DimensionError, FingerprintError, FormatError
+from .errors import ContractError, FingerprintError, FormatError
 from .fileio import read_container, unpack_arrays, write_container
 from .model import DiffusionModel, adaptable_layers, fingerprint
 from .tensor import Tensor
@@ -40,37 +40,6 @@ def default_targets(model_or_cfg) -> list[str]:
             if ".tattn." in n and n.rsplit(".", 1)[1] in DEFAULT_TARGET_PIECES]
 
 
-def adapted_linear(w, x, v_det, v_cor, beta, alpha, bias=None) -> Tensor:
-    """The adapted affine map; `x` may be a single vector or batched rows."""
-    w = w if isinstance(w, Tensor) else Tensor(w)
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    v_det = v_det if isinstance(v_det, Tensor) else Tensor(v_det)
-    v_cor = v_cor if isinstance(v_cor, Tensor) else Tensor(v_cor)
-    if w.ndim != 2:
-        raise DimensionError(f"weight must be 2-D (m, n), got {w.shape}")
-    m, n = w.shape
-    if v_det.ndim != 2 or v_cor.ndim != 2 or v_det.shape[1] != v_cor.shape[1]:
-        raise DimensionError(f"detector {v_det.shape} and corrector {v_cor.shape} must share rank d")
-    if v_det.shape[0] != n or v_cor.shape[0] != m:
-        raise DimensionError(
-            f"detector {v_det.shape}/corrector {v_cor.shape} do not fit weight {w.shape}")
-    single = x.ndim == 1
-    x2 = T.reshape(x, (1, n)) if single else T.reshape(x, (-1, x.shape[-1]))
-    if x2.shape[-1] != n:
-        raise DimensionError(f"input width {x.shape} does not match weight {w.shape}")
-    y = T.matmul(x2, T.transpose(w))
-    if bias is not None:
-        bias = bias if isinstance(bias, Tensor) else Tensor(bias)
-        y = T.add(y, bias)
-    alpha = float(alpha)
-    if alpha != 0.0:
-        beta = beta if isinstance(beta, Tensor) else Tensor(np.asarray(beta, dtype=y.dtype))
-        y = AdapterLayer(v_det, v_cor, beta).correct(x2, y, alpha)
-    if single:
-        return T.reshape(y, (m,))
-    return T.reshape(y, x.shape[:-1] + (m,))
-
-
 @dataclass
 class AdapterLayer:
     v_det: Tensor  # (n, d)
@@ -84,8 +53,8 @@ class AdapterLayer:
 
     def correct(self, x2: Tensor, y: Tensor, alpha: float) -> Tensor:
         """y + alpha * beta * v_cor (v_det^T x) for the input rows x2: the one
-        implementation of the correction term, behind both AdapterStack.apply
-        and adapted_linear."""
+        implementation of the correction term, run by AdapterStack.apply for
+        every adapted layer of the model's forward pass."""
         detect = T.matmul(x2, self.v_det)                  # (rows, d)
         correct = T.matmul(detect, T.transpose(self.v_cor))  # (rows, m)
         return T.add(y, T.mul(correct, T.mul(self.beta, alpha)))
@@ -231,30 +200,6 @@ def compose(model: DiffusionModel, pairs) -> AdapterStack:
     stack = AdapterStack(list(pairs))
     stack.check_model(model)
     return stack
-
-
-def delta_identity_check(x_t, x_tn, w, entry, alpha) -> float:
-    """Residual of the adapted-difference decomposition.
-
-    For two inputs the output difference must split into the base part and
-    the correction part:  Δy = W Δx + αβ·v_cor (v_detᵀ x_t − v_detᵀ x_tn).
-    Both sides are evaluated independently at float64; returns max |LHS − RHS|.
-    """
-    def as64(t):
-        return np.asarray(t.data if isinstance(t, Tensor) else t, dtype=np.float64)
-
-    v_det, v_cor, beta = entry
-    x_t, x_tn, w = as64(x_t), as64(x_tn), as64(w)
-    v_det, v_cor, beta = as64(v_det), as64(v_cor), as64(beta)
-    if x_t.shape != x_tn.shape:
-        raise DimensionError(f"inputs must share a shape, got {x_t.shape} vs {x_tn.shape}")
-    with T.no_grad():
-        y_t = adapted_linear(w, x_t, v_det, v_cor, beta, alpha).data
-        y_tn = adapted_linear(w, x_tn, v_det, v_cor, beta, alpha).data
-    lhs = y_t - y_tn
-    rhs = ((x_t - x_tn) @ w.T
-           + float(alpha) * beta * ((x_t @ v_det) - (x_tn @ v_det)) @ v_cor.T)
-    return float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
 
 
 def transfer(adapter: UfoAdapter, target: DiffusionModel,

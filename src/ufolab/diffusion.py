@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError
+from .errors import ContractError, NumericError
 from .model import DiffusionModel, forward
 from .schedule import Schedule, derive_schedule, diffuse
 from .tensor import Tensor
@@ -124,7 +124,8 @@ def sample(model: DiffusionModel, cond, seeds, stack=None,
            steps: int = DEFAULT_SAMPLE_STEPS) -> np.ndarray:
     """Generate one video per (condition, seed) pair; returns (B, F, H, W, C) in [0, 1].
 
-    `steps` may not exceed the model's timesteps (ContractError).
+    `steps` may not exceed the model's timesteps (ContractError).  A state
+    that turns NaN or infinite raises NumericError naming the step.
     """
     cfg = model.config
     cond = np.atleast_1d(np.asarray(cond))
@@ -156,11 +157,14 @@ def sample(model: DiffusionModel, cond, seeds, stack=None,
             mean = float(sub.mean_coef_x0[k]) * x0 + float(sub.mean_coef_zt[k]) * z
             if k == 0:
                 z = mean
-                continue
-            frac = (v_np + 1.0) * 0.5
-            logvar = frac * math.log(float(sub.betas[k])) \
-                + (1.0 - frac) * float(sub.posterior_logvar[k])
-            noise = np.stack([r.standard_normal(shape) for r in rngs]).astype(dt)
-            z = mean + np.exp(0.5 * logvar) * noise
+            else:
+                frac = (v_np + 1.0) * 0.5
+                logvar = frac * math.log(float(sub.betas[k])) \
+                    + (1.0 - frac) * float(sub.posterior_logvar[k])
+                noise = np.stack([r.standard_normal(shape) for r in rngs]).astype(dt)
+                z = mean + np.exp(0.5 * logvar) * noise
+            if not np.isfinite(z).all():
+                raise NumericError(f"sampler state became non-finite at step "
+                                   f"{k_steps - k} of {k_steps} (t={ts[k]})")
 
     return np.clip(z, 0.0, 1.0)

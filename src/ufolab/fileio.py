@@ -17,19 +17,24 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, NumericError
 
 CONTAINER_VERSION = 1
 _HEADER_AT = 9  # magic(4) + version(1) + header length(4)
 
 
 def atomic_write_bytes(path, blob: bytes) -> None:
-    """Write `blob` to `path` atomically (temp file in the same directory)."""
+    """Write `blob` to `path` atomically (temp file in the same directory).
+
+    Each write creates its own temp file, so concurrent writers of one path
+    never share one; the last rename wins.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
+    tmp = path.with_name(f".{path.name}.tmp.{os.urandom(8).hex()}")
     try:
-        tmp.write_bytes(blob)
+        with open(tmp, "xb") as fh:
+            fh.write(blob)
         os.replace(tmp, path)
     finally:
         if tmp.exists():
@@ -41,8 +46,17 @@ def canonical_json(obj) -> bytes:
 
 
 def write_container(path, magic: bytes, header: dict, arrays) -> None:
-    """Serialize `arrays` (float32, registry order) under a JSON header."""
-    payload = b"".join(np.ascontiguousarray(a, dtype="<f4").tobytes() for a in arrays)
+    """Serialize `arrays` (float32, registry order) under a JSON header.
+
+    A NaN or infinite value (after the cast to float32) raises NumericError
+    before anything is written: the loaders would refuse the file.
+    """
+    arrays = [np.ascontiguousarray(a, dtype="<f4") for a in arrays]
+    bad = [i for i, a in enumerate(arrays) if not np.isfinite(a).all()]
+    if bad:
+        raise NumericError(f"refusing to write {path}: arrays {bad} (registry order) "
+                           "hold non-finite values")
+    payload = b"".join(a.tobytes() for a in arrays)
     header = dict(header)
     header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
     hbytes = canonical_json(header)

@@ -200,16 +200,6 @@ def is_motion_excluded(base_motion: float, treated_motion: float) -> bool:
     return base_motion / treated_motion > DROP_RATIO
 
 
-def excluded_count(base_videos, treated_videos) -> tuple[list[bool], int]:
-    """Apply the exclusion rule to index-aligned clip lists: (flags, EC)."""
-    if len(base_videos) != len(treated_videos):
-        raise ContractError(f"need index-aligned lists, got {len(base_videos)} base "
-                            f"and {len(treated_videos)} treated videos")
-    flags = [is_motion_excluded(oft(b), oft(t))
-             for b, t in zip(base_videos, treated_videos)]
-    return flags, sum(flags)
-
-
 @dataclass
 class MetricsReport:
     """Per-video metric rows plus set-level aggregates (absent when empty)."""

@@ -237,17 +237,3 @@ def clip_stream(batch_size: int, seed: int, conditions=None, static: bool = Fals
                 clip = apply_style(clip, style)
             batch.append(clip.data)
         yield np.stack(batch), conds.copy()
-
-
-def make_dataset(count: int, seed: int, conditions=None, **kwargs):
-    """`count` clips as ((count, F, H, W, C) float32, (count,) condition ids)."""
-    if not isinstance(count, int) or count < 1:
-        raise ContractError(f"count must be a positive integer, got {count!r}")
-    rng = np.random.default_rng(seed)
-    conds_pool = np.asarray(DEFAULT_CONDITIONS if conditions is None else conditions,
-                            dtype=int)
-    conds = conds_pool[np.arange(count) % len(conds_pool)]
-    clip_seeds = rng.integers(0, 2 ** 31, size=count)
-    clips = np.stack([gen_moving_scene(int(c), int(s), **kwargs).data
-                      for c, s in zip(conds, clip_seeds)])
-    return clips, conds.astype(int)

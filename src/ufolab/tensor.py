@@ -41,7 +41,6 @@ __all__ = [
     "softmax",
     "layernorm",
     "take_rows",
-    "finite_diff_check",
 ]
 
 
@@ -524,54 +523,3 @@ def backward(loss: Tensor, tape: Tape | None = None) -> None:
         t.grad = np.array(g, copy=True) if t.grad is None else t.grad + g
     if loss.requires_grad and loss.grad is None:
         loss.grad = np.ones_like(loss.data)
-
-
-def finite_diff_check(f: Callable[[Tensor], Tensor], x, eps: float = 1e-6) -> float:
-    """Max relative error between reverse-mode and central-difference gradients.
-
-    ``f`` must be deterministic (two forward passes are compared bit-for-bit)
-    and is reduced to a scalar with fixed weights when it returns a vector.
-    Returns ``max_i |analytic_i - numeric_i| / (|numeric_i| + eps)``.
-    """
-    if eps <= 0:
-        raise ContractError(f"eps must be positive, got {eps}")
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    base = np.asarray(x.data, dtype=np.float64)
-
-    def reduced(arr: np.ndarray) -> Tensor:
-        leaf = Tensor(arr, requires_grad=True, dtype=np.float64)
-        out = f(leaf)
-        if not isinstance(out, Tensor):
-            raise ContractError("finite_diff_check: f must return a Tensor")
-        if out.data.size != 1:
-            w = np.linspace(1.0, 2.0, out.data.size).reshape(out.shape)
-            out = tsum(mul(out, Tensor(w, dtype=np.float64)))
-        return leaf, out
-
-    with new_tape():
-        _, y1 = reduced(base)
-    with new_tape():
-        _, y2 = reduced(base)
-    if not np.array_equal(y1.data, y2.data):
-        raise ContractError("finite_diff_check: f is not deterministic across repeated calls")
-
-    with new_tape() as tape:
-        leaf, y = reduced(base)
-        backward(y, tape)
-    analytic = leaf.grad if leaf.grad is not None else np.zeros_like(base)
-
-    numeric = np.zeros_like(base)
-    flat = base.reshape(-1)
-    num_flat = numeric.reshape(-1)
-    for i in range(flat.size):
-        bump = np.array(flat, copy=True)
-        bump[i] = flat[i] + eps
-        with new_tape():
-            _, hi = reduced(bump.reshape(base.shape))
-        bump[i] = flat[i] - eps
-        with new_tape():
-            _, lo = reduced(bump.reshape(base.shape))
-        num_flat[i] = (hi.item() - lo.item()) / (2.0 * eps)
-
-    err = np.abs(analytic - numeric) / (np.abs(numeric) + eps)
-    return float(err.max()) if err.size else 0.0

@@ -203,16 +203,27 @@ def train_ufo_consistency(model: DiffusionModel, adapter: UfoAdapter, images,
                           cfg: TrainConfig, log_path=None) -> tuple[UfoAdapter, list[dict]]:
     """Fit an adapter to static clips (every frame one image) at full intensity.
 
-    `images` must stream batches whose clips repeat a single frame; the base
-    model is frozen for the whole run and checked per step.
+    `images` must stream batches whose clips repeat a single frame
+    (ContractError on the first batch that does not); the base model is
+    frozen for the whole run and checked per step.
     """
     if cfg.alpha_train != 1.0:
         raise ContractError(
             f"consistency training runs at alpha_train = 1, got {cfg.alpha_train}")
     if adapter.kind != "consistency":
         raise ContractError(f"adapter kind is {adapter.kind!r}, expected 'consistency'")
-    rows = _train_ufo(model, adapter, images, cfg, log_path=log_path)
+    rows = _train_ufo(model, adapter, _static_batches(images), cfg, log_path=log_path)
     return adapter, rows
+
+
+def _static_batches(data):
+    """Pass `data`'s batches through, refusing any clip whose frames differ from frame 0."""
+    for step, batch in enumerate(data, start=1):
+        clips = np.asarray(batch[0])
+        if clips.ndim == 5 and not (clips == clips[:, :1]).all():
+            raise ContractError(f"consistency training needs static clips, but a clip in "
+                                f"the batch for step {step} has frames that differ from frame 0")
+        yield batch
 
 
 def train_ufo_style(model: DiffusionModel, adapter: UfoAdapter, videos,

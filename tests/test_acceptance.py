@@ -14,7 +14,6 @@ suite's 8.5-10 min.
 
 import math
 import re
-from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -22,12 +21,8 @@ import pytest
 
 import ufolab.tensor as T
 from ufolab.adapter import (
-    AdapterLayer,
     AdapterStack,
-    UfoAdapter,
-    adapted_linear,
     compose,
-    delta_identity_check,
     init_adapter,
     load_adapter,
     save_adapter,
@@ -39,13 +34,14 @@ from ufolab.metrics import (
     consistency_score,
     estimate_flow,
     evaluate_set,
-    excluded_count,
     oft,
     temporal_flicker_score,
 )
 from ufolab.model import ModelConfig, build_model, forward, load_model, save_model
 from ufolab.tensor import Tensor
 from ufolab.video import Clip
+
+from oracles import delta_identity_check, one_layer_adapter
 
 ASSETS = Path(__file__).resolve().parents[1] / "assets"
 
@@ -163,8 +159,13 @@ def test_criterion_02_adapter_algebra(capsys):
             worst_delta = max(worst_delta, delta_identity_check(
                 x_t, x_tn, w, (v_det, v_cor, beta), float(a + b)))
 
+            # the model's path: _linear hands x and x W^T + b to AdapterStack.apply
+            x2 = Tensor(x_t.reshape(1, n))
+            base_y = Tensor(x_t.reshape(1, n) @ w.T + bias)
+            adapter = one_layer_adapter(v_det, v_cor, beta)
+
             def y(alpha):
-                return adapted_linear(w, x_t, v_det, v_cor, beta, alpha, bias=bias).data
+                return AdapterStack([(adapter, alpha)]).apply("L", x2, base_y).data
 
             affine = np.max(np.abs((y(a) + y(b)) - (y(0.0) + y(a + b))))
             worst_affine = max(worst_affine, float(affine))
@@ -175,10 +176,7 @@ def test_criterion_02_adapter_algebra(capsys):
             base_y = Tensor(rng.normal(size=(3, m)))
             pair = []
             for k in range(2):
-                layer = AdapterLayer(Tensor(rng.normal(size=(n, d))),
-                                     Tensor(rng.normal(size=(m, d))),
-                                     Tensor(np.asarray(rng.normal())))
-                adapter = UfoAdapter(d, "fp", OrderedDict([("L", layer)]))
+                adapter = one_layer_adapter(*_random_entry(rng, n, m, d))
                 pair.append((adapter, float(rng.uniform(0, 1))))
             fwd = AdapterStack(pair).apply("L", x2, base_y).data
             rev = AdapterStack(pair[::-1]).apply("L", x2, base_y).data
@@ -290,8 +288,8 @@ def test_criterion_04_consistency_training_effect(lab, capsys):
 
 def test_criterion_05_excluded_count_trend(lab, capsys):
     baseline = lab.clips("base-a")
-    _, ec_01 = excluded_count(baseline, lab.clips("base-a", "ufo-a-d4", 0.1))
-    _, ec_02 = excluded_count(baseline, lab.clips("base-a", "ufo-a-d4", 0.2))
+    ec_01 = agg(lab.clips("base-a", "ufo-a-d4", 0.1), baselines=baseline).excluded
+    ec_02 = agg(lab.clips("base-a", "ufo-a-d4", 0.2), baselines=baseline).excluded
     ok = ec_02 >= ec_01 >= 0
     announce(capsys, 5, "exclusion-count trend", ok,
              f"EC(0.2)={ec_02} >= EC(0.1)={ec_01} >= 0")
@@ -503,7 +501,8 @@ def test_criterion_10_metrics_oracle_equivalence(capsys):
     clip_pairs = rng.uniform(0, 1, size=(8, 4, 16, 16, 1)).astype(np.float32)
     base_clips = [Clip(v) for v in clip_pairs[:4]]
     treated_clips = [Clip(np.repeat(v[:1], 4, axis=0)) for v in clip_pairs[4:]]
-    got_flags, got_ec = excluded_count(base_clips, treated_clips)
+    report = evaluate_set(treated_clips, baselines=base_clips)
+    got_flags, got_ec = [row["excluded"] for row in report.rows], report.excluded
     want_flags = [_excluded_oracle(_oft_oracle(b.data), _oft_oracle(t.data))
                   for b, t in zip(base_clips, treated_clips)]
     ec_ok = list(got_flags) == want_flags and got_ec == sum(want_flags) and sum(flags) >= 0

@@ -8,19 +8,19 @@ from ufolab.adapter import (
     AdapterLayer,
     AdapterStack,
     UfoAdapter,
-    adapted_linear,
     adapter_digest,
     compose,
     default_targets,
-    delta_identity_check,
     init_adapter,
     load_adapter,
     save_adapter,
     transfer,
 )
-from ufolab.errors import ContractError, DimensionError, FingerprintError, FormatError
+from ufolab.errors import ContractError, DimensionError, FingerprintError, FormatError, NumericError
 from ufolab.model import ModelConfig, adaptable_layers, build_model, forward, load_model, save_model
 from ufolab.tensor import Tensor
+
+from oracles import delta_identity_check, one_layer_adapter, poke_payload
 
 TINY = ModelConfig(frames=2, height=4, width=4, channels=1, patch=2, dim=8,
                    heads=2, mlp_dim=16, blocks=1, cond_vocab=4, timesteps=5)
@@ -44,23 +44,42 @@ def random_adapter(model, seed, rank=2, scale=0.1):
     return adapter
 
 
+def adapted(w, x, v_det, v_cor, beta, alpha, bias=None) -> np.ndarray:
+    """The adapted affine map on input rows `x`, run through AdapterStack.apply:
+    the base term x W^T + b is computed here in float64, as the model's
+    `_linear` computes it before it hands the rows to the stack."""
+    y = x @ np.asarray(w).T + (0.0 if bias is None else bias)
+    stack = AdapterStack([(one_layer_adapter(v_det, v_cor, beta), alpha)])
+    with T.no_grad():
+        return stack.apply("L", Tensor(x), Tensor(y)).numpy()
+
+
 def test_worked_example():
     # identity weights, detector on x1, corrector on y2, alpha*beta = 1:
     # x = [3, 5] -> y = [3, 5 + 3] = [3, 8]
-    y = adapted_linear(np.eye(2), np.array([3.0, 5.0]),
-                       v_det=np.array([[1.0], [0.0]]),
-                       v_cor=np.array([[0.0], [1.0]]),
-                       beta=1.0, alpha=1.0)
-    assert y.numpy().tolist() == [3.0, 8.0]
+    y = adapted(np.eye(2), np.array([[3.0, 5.0]]),
+                v_det=np.array([[1.0], [0.0]]),
+                v_cor=np.array([[0.0], [1.0]]),
+                beta=1.0, alpha=1.0)
+    assert y.tolist() == [[3.0, 8.0]]
 
 
-def test_adapted_linear_shape_validation():
-    with pytest.raises(DimensionError):
-        adapted_linear(np.eye(2), np.ones(3), np.ones((2, 1)), np.ones((2, 1)), 1.0, 1.0)
-    with pytest.raises(DimensionError):
-        adapted_linear(np.eye(2), np.ones(2), np.ones((3, 1)), np.ones((2, 1)), 1.0, 1.0)
-    with pytest.raises(DimensionError):
-        adapted_linear(np.eye(2), np.ones(2), np.ones((2, 1)), np.ones((2, 2)), 1.0, 1.0)
+def test_misfit_adapter_shapes_raise_dimension_error():
+    x, y = Tensor(np.ones((1, 2))), Tensor(np.ones((1, 2)))
+    misfits = (
+        ((2, 1), (2, 1), np.ones((1, 3))),   # input wider than the detector
+        ((3, 1), (2, 1), np.ones((1, 2))),   # detector does not fit the input
+        ((2, 1), (2, 2), np.ones((1, 2))),   # detector and corrector ranks differ
+        ((2, 1), (3, 1), np.ones((1, 2))),   # corrector does not fit the output
+    )
+    for det_shape, cor_shape, rows in misfits:
+        stack = AdapterStack([(one_layer_adapter(np.ones(det_shape), np.ones(cor_shape),
+                                                 1.0), 1.0)])
+        with pytest.raises(DimensionError):
+            stack.apply("L", Tensor(rows), y)
+    # at alpha = 0 the term is skipped, so nothing is checked (or computed)
+    skipped = AdapterStack([(one_layer_adapter(np.ones((3, 1)), np.ones((2, 1)), 1.0), 0.0)])
+    assert skipped.apply("L", x, y) is y
 
 
 def test_alpha_zero_is_exact_base_map():
@@ -69,9 +88,9 @@ def test_alpha_zero_is_exact_base_map():
     x = rng.normal(size=(10, 6))
     b = rng.normal(size=4)
     base = (x @ w.T) + b
-    y = adapted_linear(w, x, rng.normal(size=(6, 3)), rng.normal(size=(4, 3)),
-                       beta=2.0, alpha=0.0, bias=b)
-    assert np.array_equal(y.numpy(), base)
+    y = adapted(w, x, rng.normal(size=(6, 3)), rng.normal(size=(4, 3)),
+                beta=2.0, alpha=0.0, bias=b)
+    assert np.array_equal(y, base)
 
 
 def test_adapter_term_is_linear_in_alpha_and_additive():
@@ -82,10 +101,10 @@ def test_adapter_term_is_linear_in_alpha_and_additive():
         x = rng.normal(size=(5, n))
         vd, vc = rng.normal(size=(n, d)), rng.normal(size=(m, d))
         beta = float(rng.normal())
-        y0 = adapted_linear(w, x, vd, vc, beta, 0.0).numpy()
-        y1 = adapted_linear(w, x, vd, vc, beta, 1.0).numpy()
+        y0 = adapted(w, x, vd, vc, beta, 0.0)
+        y1 = adapted(w, x, vd, vc, beta, 1.0)
         for alpha in (0.25, 0.5, 0.9):
-            ya = adapted_linear(w, x, vd, vc, beta, alpha).numpy()
+            ya = adapted(w, x, vd, vc, beta, alpha)
             assert np.max(np.abs((ya - y0) - alpha * (y1 - y0))) < 1e-12
         # the delta is exactly what the defining formula says
         delta = (x @ vd) @ vc.T * beta
@@ -97,8 +116,8 @@ def test_single_vector_and_batch_agree():
     w = rng.normal(size=(3, 5))
     x = rng.normal(size=(4, 5))
     vd, vc = rng.normal(size=(5, 2)), rng.normal(size=(3, 2))
-    batched = adapted_linear(w, x, vd, vc, 0.7, 0.6).numpy()
-    rows = [adapted_linear(w, x[i], vd, vc, 0.7, 0.6).numpy() for i in range(4)]
+    batched = adapted(w, x, vd, vc, 0.7, 0.6)
+    rows = [adapted(w, x[i:i + 1], vd, vc, 0.7, 0.6)[0] for i in range(4)]
     assert np.allclose(batched, np.stack(rows), atol=1e-14)
 
 
@@ -324,12 +343,25 @@ def test_transfer_mismatch_names_offending_layer():
         assert "block0.tattn.q" in str(err.value)
 
 
+def test_savers_refuse_non_finite_weights_and_write_nothing(tmp_path):
+    model = build_model(TINY, seed=0)
+    adapter = random_adapter(model, seed=1)
+    next(iter(adapter.layers.values())).beta.data[...] = np.nan
+    with pytest.raises(NumericError, match="non-finite"):
+        save_adapter(adapter, tmp_path / "a.ufoa")
+    model.params["head_eps.w"].data[0, 0] = np.inf
+    with pytest.raises(NumericError, match="non-finite"):
+        save_model(model, tmp_path / "m.ufom")
+    assert not any(tmp_path.iterdir())
+
+
 def test_adapter_loader_rejects_non_finite_weights(tmp_path):
     model = build_model(TINY, seed=0)
+    adapter = random_adapter(model, seed=1)
+    first = next(iter(adapter.layers.values()))
     for bad in (np.nan, np.inf):
-        adapter = random_adapter(model, seed=1)
-        next(iter(adapter.layers.values())).v_cor.data[0, 0] = bad
         path = tmp_path / "a.ufoa"
         save_adapter(adapter, path)
+        poke_payload(path, first.v_det.size, bad)  # the first layer's v_cor[0, 0]
         with pytest.raises(FormatError, match="non-finite"):
             load_adapter(path)

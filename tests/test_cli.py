@@ -6,7 +6,10 @@ stdout can be asserted directly.
 """
 
 import csv
+import shlex
+import shutil
 import textwrap
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,11 +17,13 @@ import pytest
 
 import ufolab.tensor as T
 from ufolab.adapter import init_adapter, load_adapter, save_adapter
-from ufolab.cli import main
+from ufolab.cli import build_parser, main
 from ufolab.config import OUTPUT_ROOT_ENV
 from ufolab.model import ModelConfig, build_model, load_model, save_model
 from ufolab.synthdata import gen_moving_scene, make_static_video
 from ufolab.video import load_clip, save_clip
+
+from oracles import poke_payload
 
 CONFIG = textwrap.dedent("""\
     [model]
@@ -195,18 +200,33 @@ def test_generate_steps_above_timesteps_exits_2(tmp_path, workspace, command):
 
 
 def test_generate_non_finite_artifact_exits_4(tmp_path, workspace, capsys):
+    # the savers refuse non-finite weights, so damage good files' payloads
     model = load_model(workspace.base)
-    model.params["head_eps.w"].data[0, 0] = np.nan
-    adapter = load_adapter(workspace.ufo)
-    next(iter(adapter.layers.values())).beta.data[...] = np.inf
-    save_model(model, tmp_path / "nan.ufom")
-    save_adapter(adapter, tmp_path / "inf.ufoa")
-    for base, ufo in ((tmp_path / "nan.ufom", workspace.ufo),
-                      (workspace.base, tmp_path / "inf.ufoa")):
+    names = list(model.params)
+    nan_ufom, inf_ufoa = tmp_path / "nan.ufom", tmp_path / "inf.ufoa"
+    shutil.copyfile(workspace.base, nan_ufom)
+    poke_payload(nan_ufom, sum(model.params[n].size
+                               for n in names[:names.index("head_eps.w")]), np.nan)
+    first = next(iter(load_adapter(workspace.ufo).layers.values()))
+    shutil.copyfile(workspace.ufo, inf_ufoa)
+    poke_payload(inf_ufoa, first.v_det.size + first.v_cor.size, np.inf)  # its beta
+    for base, ufo in ((nan_ufom, workspace.ufo), (workspace.base, inf_ufoa)):
         assert main(["generate", "--base", str(base), "--ufo", str(ufo), "--alpha", "0.5",
                      "--condition", "0", "--seed", "1", "--steps", "4",
                      "--out", str(tmp_path / "x.vclip")]) == 4
         assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "x.vclip").exists()
+
+
+def test_generate_non_finite_sampler_state_exits_3(tmp_path, workspace, capsys):
+    # head_sigma.b = 1e3 pushes the sampler's noise scale past float32 range
+    model = load_model(workspace.base)
+    model.params["head_sigma.b"].data[...] = 1e3
+    save_model(model, tmp_path / "wild.ufom")
+    with np.errstate(all="ignore"):
+        assert main(["generate", "--base", str(tmp_path / "wild.ufom"), "--condition", "0",
+                     "--seed", "1", "--steps", "4", "--out", str(tmp_path / "x.vclip")]) == 3
+    assert "non-finite at step" in capsys.readouterr().err
     assert not (tmp_path / "x.vclip").exists()
 
 
@@ -348,3 +368,24 @@ def test_inspect_prints_artifact_facts(workspace, tmp_path, capsys):
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["transmogrify"]) == 2
     capsys.readouterr()  # swallow argparse usage text
+
+
+def readme_cli_commands():
+    """Every `ufolab ...` line of the README's CLI block, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    joined = block.replace("\\\n", " ")
+    return [shlex.split(line, comments=True) for line in joined.splitlines()
+            if line.strip().startswith("ufolab ")]
+
+
+def test_readme_cli_lines_parse():
+    commands = readme_cli_commands()
+    assert {argv[1] for argv in commands} == {
+        "train-base", "train-ufo", "generate", "evaluate", "sweep", "inspect"}
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:  # argparse's exit 2
+            pytest.fail(f"README CLI line does not parse: {shlex.join(argv)}")

@@ -16,7 +16,7 @@ from ufolab.diffusion import (
     sample,
     training_losses,
 )
-from ufolab.errors import ContractError
+from ufolab.errors import ContractError, NumericError
 from ufolab.model import ModelConfig, build_model, forward
 from ufolab.schedule import diffuse, make_schedule
 
@@ -232,3 +232,10 @@ def test_sampler_rejects_more_steps_than_timesteps():
     assert sample(model, cond=[1], seeds=[3], steps=10).shape == (1, 2, 4, 4, 1)
     with pytest.raises(ContractError, match="exceeds"):
         sample(model, cond=[1], seeds=[3], steps=11)
+
+
+def test_sampler_raises_numeric_error_on_non_finite_state():
+    model = build_model(TINY, seed=0)
+    model.params["head_sigma.b"].data[...] = 1e5  # the noise scale overflows float64
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="step 1 of 4"):
+        sample(model, cond=[1], seeds=[3], steps=4)

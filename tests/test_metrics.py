@@ -13,7 +13,6 @@ from ufolab.metrics import (
     consistency_score,
     estimate_flow,
     evaluate_set,
-    excluded_count,
     is_motion_excluded,
     oft,
     temporal_flicker_score,
@@ -272,14 +271,17 @@ def test_exclusion_truth_table():
 
 
 def test_excluded_count_on_clip_lists():
+    # EC as `evaluate`/`sweep` report it: evaluate_set against index-aligned baselines
     moving = [gen_moving_scene(0, s).data for s in range(3)]  # translate conditions
     static = [make_static_video(m[0], m.shape[0]).data for m in moving]
-    flags, ec = excluded_count(moving, static)
-    assert flags == [True, True, True] and ec == 3
-    flags, ec = excluded_count(moving, moving)
-    assert flags == [False, False, False] and ec == 0
+    report = evaluate_set(static, baselines=moving)
+    assert [row["excluded"] for row in report.rows] == [True, True, True]
+    assert report.excluded == 3
+    report = evaluate_set(moving, baselines=moving)
+    assert [row["excluded"] for row in report.rows] == [False, False, False]
+    assert report.excluded == 0
     with pytest.raises(ContractError):
-        excluded_count(moving, static[:2])
+        evaluate_set(static[:2], baselines=moving)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ from ufolab.model import (
     load_model,
     save_model,
 )
-from ufolab.tensor import Tensor, finite_diff_check
+from ufolab.tensor import Tensor
+
+from oracles import finite_diff_check, poke_payload
 
 TINY = ModelConfig(frames=2, height=4, width=4, channels=1, patch=2, dim=8,
                    heads=2, mlp_dim=16, blocks=1, cond_vocab=4, timesteps=5,
@@ -207,8 +209,10 @@ def test_checkpoint_rejects_damage(tmp_path):
 
 def test_checkpoint_rejects_non_finite_weights(tmp_path):
     model = build_model(ModelConfig(), seed=1)
-    model.params["block1.mlp.fc2.w"].data[3, 5] = np.nan
+    names = list(model.params)
+    at = sum(model.params[n].size for n in names[:names.index("block1.mlp.fc2.w")])
     path = tmp_path / "m.ufom"
     save_model(model, path)
+    poke_payload(path, at + 3 * model.params["block1.mlp.fc2.w"].shape[1] + 5, np.nan)
     with pytest.raises(FormatError, match="'block1.mlp.fc2.w' holds non-finite"):
         load_model(path)

@@ -15,7 +15,6 @@ from ufolab.synthdata import (
     clip_stream,
     describe_condition,
     gen_moving_scene,
-    make_dataset,
     make_static_video,
     render_clip,
 )
@@ -205,18 +204,6 @@ def test_clip_stream_is_reproducible_and_transformable():
         next(clip_stream(0, seed=1))
     with pytest.raises(ContractError):
         next(clip_stream(2, seed=1, conditions=[]))
-
-
-def test_make_dataset_shapes_and_condition_cycling():
-    clips, conds = make_dataset(6, seed=0, conditions=[2, 9])
-    assert clips.shape == (6, 8, 16, 16, 1) and clips.dtype == np.float32
-    assert conds.tolist() == [2, 9, 2, 9, 2, 9]
-    clips2, conds2 = make_dataset(6, seed=0, conditions=[2, 9])
-    assert np.array_equal(clips, clips2)
-    free_clips, free_conds = make_dataset(12, seed=1)
-    assert free_conds.min() >= 0 and free_conds.max() < NUM_CONDITIONS
-    with pytest.raises(ContractError):
-        make_dataset(0, seed=0)
 
 
 def test_gen_moving_scene_matches_render_clip():

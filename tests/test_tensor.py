@@ -11,7 +11,9 @@ import pytest
 
 from ufolab import tensor as T
 from ufolab.errors import ContractError, DimensionError
-from ufolab.tensor import Tensor, backward, finite_diff_check
+from ufolab.tensor import Tensor, backward
+
+from oracles import finite_diff_check
 
 
 @pytest.fixture(autouse=True)

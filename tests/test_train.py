@@ -196,6 +196,20 @@ def test_consistency_training_requires_full_intensity_and_kind():
         train_ufo_style(model, adapter, stream_for(tiny_cfg()), tiny_cfg())
 
 
+def test_consistency_training_rejects_moving_clips():
+    model = build_model(TINY, seed=7)
+    adapter = init_adapter(model, rank=2, seed=1)
+    cfg = tiny_cfg(steps=3)
+    static, moving = stream_for(cfg, static=True), stream_for(cfg)
+
+    def still_then_moving():
+        yield next(static)
+        yield next(moving)
+
+    with pytest.raises(ContractError, match="static clips.*step 2"):
+        train_ufo_consistency(model, adapter, still_then_moving(), cfg)
+
+
 def test_adapter_training_is_deterministic():
     grabs = []
     for _ in range(2):

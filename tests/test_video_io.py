@@ -1,12 +1,14 @@
 """Clip container and binary-container tests."""
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from ufolab.errors import ContractError, FormatError
-from ufolab.fileio import read_container, unpack_arrays, write_container
+from ufolab.errors import ContractError, FormatError, NumericError
+from ufolab.fileio import atomic_write_bytes, read_container, unpack_arrays, write_container
 from ufolab.video import Clip, load_clip, save_clip
 
 
@@ -131,3 +133,39 @@ def test_container_corruption_offsets(tmp_path):
         unpack_arrays(payload, at, [("w", (2, 3))])  # wants more bytes than exist
     with pytest.raises(FormatError):
         unpack_arrays(payload, at, [("w", (1, 2))])  # leaves trailing bytes
+
+
+def test_container_refuses_non_finite_arrays_and_writes_nothing(tmp_path):
+    path = tmp_path / "x.bin"
+    for bad in (np.nan, np.inf, 1e39):  # 1e39 overflows the float32 payload
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match=r"arrays \[1\]"):
+            write_container(path, b"UFOT", {}, [np.zeros(3), np.array([0.0, bad])])
+        assert not any(tmp_path.iterdir())
+
+
+def test_atomic_writes_from_two_threads_to_one_path(tmp_path):
+    path = tmp_path / "shared.bin"
+    blobs = [bytes([i]) * 4096 for i in (1, 2)]
+    errors = []
+
+    def writer(blob):
+        try:
+            for _ in range(300):
+                atomic_write_bytes(path, blob)
+        except OSError as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer, args=(blob,)) for blob in blobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert path.read_bytes() in blobs
+    assert [p.name for p in tmp_path.iterdir()] == ["shared.bin"]  # no temp file left
