@@ -42,32 +42,27 @@ STREAM_SEED_OFFSET = 1_000_003
 _KIND_BY_FLAG = {"consistency": "consistency", "style": "stylization"}
 
 
-def _check_geometry(model_cfg, data) -> None:
-    if (data.resolution, data.frames) != (model_cfg.height, model_cfg.frames) \
-            or model_cfg.height != model_cfg.width:
-        raise ContractError(
-            f"data geometry {data.frames}x{data.resolution}x{data.resolution} does not "
-            f"match the model ({model_cfg.frames}x{model_cfg.height}x{model_cfg.width})")
-
-
-def _stream(cfg, **kw):
+def _stream(cfg, model, **kw):
+    """Training batches at the geometry and condition vocabulary of `model`."""
+    mc = model.config
+    over = [c for c in cfg.data.conditions if c >= mc.cond_vocab]
+    if over:
+        raise ConfigError(
+            f"condition ids {over} exceed the model's cond_vocab {mc.cond_vocab}")
     return clip_stream(cfg.train.batch_size,
                        seed=cfg.train.seed + STREAM_SEED_OFFSET,
                        conditions=cfg.data.conditions,
-                       frames=cfg.data.frames,
-                       height=cfg.data.resolution,
-                       width=cfg.data.resolution,
+                       frames=mc.frames, height=mc.height, width=mc.width,
                        jitter=cfg.data.jitter,
                        **kw)
 
 
 def cmd_train_base(args) -> int:
     cfg = load_config(args.config)
-    _check_geometry(cfg.model, cfg.data)
     model = build_model(cfg.model, seed=cfg.train.seed)
     ckpt = cfg.paths.checkpoints / f"base-seed{cfg.train.seed}.ufom"
     curve = cfg.paths.reports / f"train-base-seed{cfg.train.seed}.csv"
-    train_base(model, _stream(cfg), cfg.train, log_path=curve)
+    train_base(model, _stream(cfg, model), cfg.train, log_path=curve)
     save_model(model, ckpt)
     print(f"checkpoint: {ckpt}")
     print(f"loss curve: {curve}")
@@ -77,16 +72,15 @@ def cmd_train_base(args) -> int:
 def cmd_train_ufo(args) -> int:
     cfg = load_config(args.config)
     model = load_model(resolve_path(args.base))
-    _check_geometry(model.config, cfg.data)
     kind = _KIND_BY_FLAG[args.kind]
     train_cfg = cfg.train
     adapter = init_adapter(model, rank=args.rank, seed=train_cfg.seed, kind=kind)
     curve = cfg.paths.reports / f"train-ufo-{args.kind}-seed{train_cfg.seed}.csv"
     if kind == "consistency":
-        data = _stream(cfg, static=True)
+        data = _stream(cfg, model, static=True)
         train_ufo_consistency(model, adapter, data, train_cfg, log_path=curve)
     else:
-        data = _stream(cfg, style=args.style)
+        data = _stream(cfg, model, style=args.style)
         adapter.meta["style"] = args.style
         train_ufo_style(model, adapter, data, train_cfg, log_path=curve)
     out = cfg.paths.checkpoints / f"ufo-{args.kind}-seed{train_cfg.seed}.ufoa"

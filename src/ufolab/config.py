@@ -23,17 +23,8 @@ OUTPUT_ROOT_ENV = "UFOLAB_OUTPUT_ROOT"
 
 @dataclass(frozen=True)
 class DataConfig:
-    resolution: int = 16
-    frames: int = 8
     conditions: tuple = DEFAULT_CONDITIONS
     jitter: float = DEFAULT_JITTER
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    alphas: tuple = (0.0, 0.1, 0.2)
-    seeds: tuple = tuple(range(500, 532))
-    videos: int = 32
 
 
 @dataclass(frozen=True)
@@ -47,7 +38,6 @@ class ExperimentConfig:
     model: ModelConfig
     train: TrainConfig
     data: DataConfig
-    eval: EvalConfig
     paths: PathsConfig
 
 
@@ -67,10 +57,6 @@ def _int_list(text: str) -> tuple:
     return tuple(int(p.strip()) for p in text.split(",") if p.strip())
 
 
-def _float_list(text: str) -> tuple:
-    return tuple(float(p.strip()) for p in text.split(",") if p.strip())
-
-
 # section -> key -> parser; the ModelConfig/TrainConfig field names are the
 # config keys, so the schema below is the whole vocabulary a file may use
 _SCHEMA = {
@@ -85,16 +71,8 @@ _SCHEMA = {
         "warmup_steps": _int, "alpha_train": _float, "loss_lambda": _float,
         "seed": _int,
     },
-    "data": {
-        "resolution": _int, "frames": _int, "conditions": _int_list,
-        "jitter": _float,
-    },
-    "eval": {
-        "alphas": _float_list, "seeds": _int_list, "videos": _int,
-    },
-    "paths": {
-        "checkpoints": _str, "reports": _str,
-    },
+    "data": {"conditions": _int_list, "jitter": _float},
+    "paths": {"checkpoints": _str, "reports": _str},
 }
 
 
@@ -133,16 +111,21 @@ def load_config(path) -> ExperimentConfig:
     """Parse and validate one experiment INI file.
 
     Raises ConfigError naming the offending section/key and line for unknown
-    or ill-typed entries, and for cross-field contradictions (data geometry
-    that does not match the model, condition ids outside the generator or the
-    model's vocabulary, mismatched seed/video counts).
+    or ill-typed entries, condition ids outside the generator, non-UTF-8
+    files and paths that cannot be created as directories.  Clip geometry and
+    the condition vocabulary come from the model being trained, not from here.
     """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    text = path.read_text()
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     lines = text.splitlines()
-    parser = configparser.ConfigParser(interpolation=None)
+    # no name can head an empty section, so [DEFAULT] is an unknown section
+    # rather than keys silently shared by (or lost from) every section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
@@ -173,47 +156,22 @@ def load_config(path) -> ExperimentConfig:
     model = build("model", ModelConfig)
     train = build("train", TrainConfig)
     data = build("data", DataConfig)
-    evaluation = build("eval", EvalConfig)
-
-    if data.resolution != model.height or data.resolution != model.width:
-        raise ConfigError(
-            f"data resolution {data.resolution} does not match model geometry "
-            f"{model.height}x{model.width}")
-    if data.frames != model.frames:
-        raise ConfigError(
-            f"data frames {data.frames} does not match model frames {model.frames}")
     if not data.conditions:
         raise ConfigError("data conditions must list at least one id")
     bad = [c for c in data.conditions if not 0 <= c < NUM_CONDITIONS]
     if bad:
         raise ConfigError(f"condition ids {bad} outside [0, {NUM_CONDITIONS})")
-    over = [c for c in data.conditions if c >= model.cond_vocab]
-    if over:
-        raise ConfigError(
-            f"condition ids {over} exceed the model's cond_vocab {model.cond_vocab}")
     if not 0.0 <= data.jitter <= 0.1:
         raise ConfigError(f"data jitter must lie in [0, 0.1], got {data.jitter}")
 
-    if not evaluation.alphas:
-        raise ConfigError("eval alphas must list at least one intensity")
-    bad_a = [a for a in evaluation.alphas if not 0.0 <= a <= 1.0]
-    if bad_a:
-        raise ConfigError(f"eval alphas {bad_a} outside [0, 1]")
-    if not evaluation.seeds:
-        raise ConfigError("eval seeds must list at least one seed")
-    if len(set(evaluation.seeds)) != len(evaluation.seeds):
-        raise ConfigError("eval seeds must be distinct (matched-seed protocol)")
-    if evaluation.videos != len(evaluation.seeds):
-        raise ConfigError(
-            f"eval videos = {evaluation.videos} but {len(evaluation.seeds)} seeds given")
-
-    raw_paths = values["paths"]
-    paths = PathsConfig(
-        checkpoints=resolve_path(raw_paths.get("checkpoints", "checkpoints")),
-        reports=resolve_path(raw_paths.get("reports", "reports")),
-    )
-    for p in (paths.checkpoints, paths.reports):
-        p.mkdir(parents=True, exist_ok=True)
+    paths = {key: resolve_path(values["paths"].get(key, getattr(PathsConfig, key)))
+             for key in _SCHEMA["paths"]}
+    for key, p in paths.items():
+        try:
+            p.mkdir(parents=True, exist_ok=True)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot create [paths] {key}{_loc(lines, 'paths', key)} "
+                              f"as a directory: {exc}") from exc
 
     return ExperimentConfig(model=model, train=train, data=data,
-                            eval=evaluation, paths=paths)
+                            paths=PathsConfig(**paths))

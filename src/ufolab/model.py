@@ -49,6 +49,11 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
+        for name in ("frames", "height", "width", "channels", "patch", "dim",
+                     "heads", "mlp_dim", "blocks", "cond_vocab", "timesteps"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or v < 1:
+                raise ContractError(f"config field {name} must be a positive integer, got {v!r}")
         if self.height % self.patch or self.width % self.patch:
             raise ContractError(f"patch {self.patch} must divide height {self.height} and width {self.width}")
         if self.dim % self.heads:
@@ -57,11 +62,10 @@ class ModelConfig:
             raise ContractError(f"unknown schedule kind {self.schedule!r}")
         if self.dtype not in ("float32", "float64"):
             raise ContractError(f"dtype must be float32 or float64, got {self.dtype!r}")
-        for name in ("frames", "height", "width", "channels", "patch", "dim",
-                     "heads", "mlp_dim", "blocks", "cond_vocab", "timesteps"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ContractError(f"config field {name} must be a positive integer, got {v!r}")
+        if self.timesteps < 2:
+            raise ContractError(f"timesteps must be >= 2, got {self.timesteps}")
+        if not 0 < self.fps < math.inf:
+            raise ContractError(f"fps must be finite and > 0, got {self.fps!r}")
 
     @property
     def sites(self) -> int:
@@ -80,6 +84,8 @@ class ModelConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "ModelConfig":
+        if not isinstance(doc, dict):
+            raise FormatError(f"model config must be a JSON object, got {type(doc).__name__}")
         known = ModelConfig.__dataclass_fields__.keys()
         extra = set(doc) - set(known)
         if extra:

@@ -178,20 +178,20 @@ def train_base(model: DiffusionModel, data, cfg: TrainConfig,
 
 def _train_ufo(model: DiffusionModel, adapter: UfoAdapter, data,
                cfg: TrainConfig, log_path=None) -> list[dict]:
-    adapter.set_trainable(True)
     stack = compose(model, [(adapter, cfg.alpha_train)])
     unfrozen = [p for p in model.params.values() if p.requires_grad]
     for p in unfrozen:
         p.requires_grad = False
         p.grad = None
     guard = FreezeGuard(model.params)
+    adapter.set_trainable(True)
     try:
         rows = _run(model, adapter.parameters(), data, cfg, stack=stack,
                     guard=guard, log_path=log_path)
     finally:
         for p in unfrozen:
             p.requires_grad = True
-    adapter.set_trainable(False)
+        adapter.set_trainable(False)
     adapter.meta.update({"train_steps": cfg.steps, "train_seed": cfg.seed,
                          "alpha_train": cfg.alpha_train})
     if rows:

@@ -48,14 +48,7 @@ CONFIG = textwrap.dedent("""\
     seed = {seed}
 
     [data]
-    resolution = 16
-    frames = 2
     conditions = 0,1,2,3
-
-    [eval]
-    alphas = 0.0,0.1
-    seeds = 500,501
-    videos = 2
 
     [paths]
     checkpoints = {ck}
@@ -117,6 +110,31 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert main(["train-base", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("anchor, text, line", [
+    ("[data]", "[data]\nresolution = 16", 23), ("[data]", "[data]\nframes = 2", 23),
+    ("[paths]", "[eval]\nalphas = 0.0,0.1\n[paths]", 25)])
+def test_removed_config_key_exits_2_with_its_line(tmp_path, capsys, anchor, text, line):
+    # geometry comes from the model and sweeps take flags; these keys are gone
+    cfg = write_config(tmp_path / "exp.ini", tmp_path / "ck", tmp_path / "rp")
+    cfg.write_text(cfg.read_text().replace(anchor, text))
+    assert main(["train-base", str(cfg)]) == 2
+    assert f"(line {line})" in capsys.readouterr().err
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "exp.ini", tmp_path / "ck", tmp_path / "rp")
+    cfg.write_bytes(cfg.read_bytes().replace(b"steps", b"st\xe9ps", 1))
+    assert main(["train-base", str(cfg)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_config_path_under_a_file_exits_2(tmp_path, capsys):
+    (tmp_path / "f.txt").write_text("not a directory")
+    cfg = write_config(tmp_path / "exp.ini", tmp_path / "f.txt" / "sub", tmp_path / "rp")
+    assert main(["train-base", str(cfg)]) == 2
+    assert "[paths] checkpoints (line" in capsys.readouterr().err
+
+
 def test_train_base_outputs_and_loss_rows(workspace):
     assert workspace.base.exists()
     rows = read_rows(workspace.rp / "train-base-seed5.csv")
@@ -148,6 +166,31 @@ def test_train_ufo_style_artifact(workspace):
     assert adapter.kind == "stylization"
     assert adapter.recommended_alpha == 0.8  # trained intensity is the recommendation
     assert adapter.meta["style"] == "invert"
+
+
+def test_train_ufo_ignores_model_section(tmp_path, workspace):
+    # the stream takes frames, size and vocabulary from --base, not from [model]
+    cfg = write_config(tmp_path / "exp.ini", tmp_path / "ck", tmp_path / "rp")
+    cfg.write_text("[train]" + cfg.read_text().split("[train]", 1)[1])
+    assert main(["train-ufo", str(cfg), "--kind", "consistency",
+                 "--base", str(workspace.base)]) == 0
+    out = tmp_path / "ck" / "ufo-consistency-seed5.ufoa"
+    assert out.read_bytes() == workspace.ufo.read_bytes()
+
+
+@pytest.mark.parametrize("command, vocab, conditions",
+                         [("train-base", 4, "0,5"), ("train-ufo", 36, "0,20")])
+def test_conditions_beyond_trained_models_vocab_exit_2(tmp_path, workspace, capsys,
+                                                       command, vocab, conditions):
+    # train-base checks its [model]; train-ufo checks the checkpoint's 16, not [model]'s 36
+    cfg = write_config(tmp_path / "exp.ini", tmp_path / "ck", tmp_path / "rp")
+    cfg.write_text(cfg.read_text().replace("cond_vocab = 16", f"cond_vocab = {vocab}")
+                   .replace("conditions = 0,1,2,3", f"conditions = {conditions}"))
+    extra = ["--kind", "consistency", "--base", str(workspace.base)] \
+        if command == "train-ufo" else []
+    assert main([command, str(cfg), *extra]) == 2
+    assert "cond_vocab" in capsys.readouterr().err
+    assert not any((tmp_path / "ck").iterdir()) and not any((tmp_path / "rp").iterdir())
 
 
 def test_train_ufo_corrupt_base_exits_4(tmp_path, workspace):

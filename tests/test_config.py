@@ -1,9 +1,16 @@
-"""Config parsing: strict schema, typed values, cross-field checks, paths."""
+"""Config parsing: strict schema, typed values, value checks, paths, fuzzing."""
+
+import os
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ufolab.config import OUTPUT_ROOT_ENV, load_config, resolve_path
 from ufolab.errors import ConfigError
+
+from test_cli import CONFIG
 
 
 def write(tmp_path, text, name="exp.ini"):
@@ -18,8 +25,6 @@ def test_empty_config_gives_defaults(tmp_path, monkeypatch):
     assert cfg.model.frames == 8 and cfg.model.timesteps == 100
     assert cfg.train.steps == 3000 and cfg.train.lr_peak == 2e-4
     assert cfg.data.conditions == tuple(range(16))
-    assert cfg.eval.alphas == (0.0, 0.1, 0.2)
-    assert cfg.eval.videos == 32 and len(cfg.eval.seeds) == 32
     assert cfg.paths.checkpoints.is_dir() and cfg.paths.reports.is_dir()
 
 
@@ -37,13 +42,7 @@ warmup_steps = 2
 lr_peak = 1e-3
 
 [data]
-frames = 4
 conditions = 0, 3, 7
-
-[eval]
-alphas = 0, 0.5
-seeds = 1,2,3
-videos = 3
 
 [paths]
 checkpoints = ckpt
@@ -52,7 +51,6 @@ reports = out/reports
     assert cfg.model.frames == 4 and cfg.model.schedule == "scaled_linear"
     assert cfg.train.lr_peak == 1e-3 and cfg.train.warmup_steps == 2
     assert cfg.data.conditions == (0, 3, 7)
-    assert cfg.eval.alphas == (0.0, 0.5) and cfg.eval.seeds == (1, 2, 3)
     assert (tmp_path / "ckpt").is_dir() and (tmp_path / "out" / "reports").is_dir()
 
 
@@ -74,6 +72,8 @@ def test_unknown_key_reports_line(tmp_path):
 def test_unknown_section_rejected(tmp_path):
     with pytest.raises(ConfigError, match=r"unknown section \[sampler\]"):
         load_config(write(tmp_path, "[sampler]\nsteps = 5\n"))
+    with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\] \(line 1\)"):
+        load_config(write(tmp_path, "[DEFAULT]\nsteps = 5\n[train]\n"))
 
 
 def test_bad_value_reports_key_and_line(tmp_path):
@@ -89,25 +89,18 @@ def test_domain_violations_become_config_errors(tmp_path):
         load_config(write(tmp_path, "[model]\ndim = 10\nheads = 4\n"))
     with pytest.raises(ConfigError, match=r"invalid \[train\]"):
         load_config(write(tmp_path, "[train]\nsteps = 5\nwarmup_steps = 9\n"))
+    for bad in ("fps = nan", "fps = -1", "timesteps = 1", "patch = 0", "heads = 0"):
+        with pytest.raises(ConfigError, match=r"invalid \[model\]"):
+            load_config(write(tmp_path, f"[model]\n{bad}\n"))
 
 
-def test_cross_field_checks(tmp_path):
-    with pytest.raises(ConfigError, match="resolution"):
-        load_config(write(tmp_path, "[data]\nresolution = 32\n"))
-    with pytest.raises(ConfigError, match="frames"):
-        load_config(write(tmp_path, "[data]\nframes = 4\n"))
+def test_data_checks(tmp_path):
     with pytest.raises(ConfigError, match="condition ids"):
         load_config(write(tmp_path, "[data]\nconditions = 0, 99\n"))
-    with pytest.raises(ConfigError, match="cond_vocab"):
-        load_config(write(tmp_path, "[model]\ncond_vocab = 4\n[data]\nconditions = 0, 5\n"))
+    with pytest.raises(ConfigError, match="at least one id"):
+        load_config(write(tmp_path, "[data]\nconditions = ,\n"))
     with pytest.raises(ConfigError, match="jitter"):
         load_config(write(tmp_path, "[data]\njitter = 0.5\n"))
-    with pytest.raises(ConfigError, match="alphas"):
-        load_config(write(tmp_path, "[eval]\nalphas = 0, 1.5\n"))
-    with pytest.raises(ConfigError, match="distinct"):
-        load_config(write(tmp_path, "[eval]\nseeds = 1, 1\nvideos = 2\n"))
-    with pytest.raises(ConfigError, match="videos"):
-        load_config(write(tmp_path, "[eval]\nseeds = 1, 2\nvideos = 5\n"))
 
 
 def test_output_root_env_anchors_relative_paths(tmp_path, monkeypatch):
@@ -119,3 +112,40 @@ def test_output_root_env_anchors_relative_paths(tmp_path, monkeypatch):
     assert (root / "ck").is_dir()
     absolute = tmp_path / "abs"
     assert resolve_path(absolute) == absolute  # absolute paths ignore the root
+
+
+FIXTURE = CONFIG.format(steps=3, lr="3e-3", alpha_train="1.0", seed=5,
+                        ck="ck", rp="rp").encode()
+# bytes that change a value's type, sign or size, or the file's structure
+PICKS = st.one_of(st.sampled_from(b"0-.en/[]=,\n\x00\x80\xff"), st.integers(0, 255))
+MUTATED = st.lists(st.tuples(st.integers(0, len(FIXTURE) - 1), PICKS),
+                   min_size=1, max_size=6)
+
+
+def mutate(edits) -> bytes:
+    blob = bytearray(FIXTURE)
+    for at, byte in edits:
+        blob[at] = byte
+    return bytes(blob)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(blob=st.one_of(st.binary(max_size=400), MUTATED.map(mutate)))
+def test_fuzzed_config_loads_or_raises_config_error(tmp_path, monkeypatch, blob):
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    real_mkdir = Path.mkdir
+
+    def confined_mkdir(self, *args, **kwargs):
+        # a mutated [paths] entry may point anywhere; act as if outside were read-only
+        if not os.path.abspath(self).startswith(str(tmp_path) + os.sep):
+            raise PermissionError(f"outside the test directory: {self}")
+        return real_mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", confined_mkdir)
+    path = tmp_path / "fuzz.ini"
+    path.write_bytes(blob)
+    try:
+        load_config(path)
+    except ConfigError:
+        pass

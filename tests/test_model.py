@@ -61,6 +61,11 @@ def test_config_validation():
         ModelConfig(dim=30, heads=4)
     with pytest.raises(ContractError):
         ModelConfig(schedule="bogus")
+    with pytest.raises(ContractError, match="timesteps"):
+        ModelConfig(timesteps=1)  # a schedule needs two steps
+    for fps in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ContractError, match="fps"):
+            ModelConfig(fps=fps)
 
 
 def test_forward_shapes_and_zero_head_output():
@@ -204,6 +209,20 @@ def test_checkpoint_rejects_damage(tmp_path):
     header["param_shapes"][0] = [1, 1]
     write_container(path, MODEL_MAGIC, header, [np.zeros(1, dtype=np.float32)])
     with pytest.raises(FormatError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("config", [5, {"fps": -3.0}, {"timesteps": 1}],
+                         ids=["not-an-object", "negative-fps", "one-timestep"])
+def test_checkpoint_rejects_bad_config_header(tmp_path, config):
+    model = build_model(ModelConfig(frames=2, height=4, width=4, patch=2, dim=8, heads=2,
+                                    mlp_dim=16, blocks=1, cond_vocab=4), seed=1)
+    path = tmp_path / "m.ufom"
+    save_model(model, path)
+    header, payload, _ = read_container(path, MODEL_MAGIC)
+    header["config"] = {**header["config"], **config} if isinstance(config, dict) else config
+    write_container(path, MODEL_MAGIC, header, [np.frombuffer(payload, dtype="<f4")])
+    with pytest.raises(FormatError, match="model config"):
         load_model(path)
 
 

@@ -208,6 +208,8 @@ def test_consistency_training_rejects_moving_clips():
 
     with pytest.raises(ContractError, match="static clips.*step 2"):
         train_ufo_consistency(model, adapter, still_then_moving(), cfg)
+    # the failed run hands the adapter back frozen, like a finished one
+    assert not any(p.requires_grad for p in adapter.parameters().values())
 
 
 def test_adapter_training_is_deterministic():
