@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,15 +49,15 @@ class TrainConfig:
             raise ContractError(f"steps must be >= 0, got {self.steps}")
         if self.batch_size < 1:
             raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.lr_peak > 0:
-            raise ContractError(f"lr_peak must be > 0, got {self.lr_peak}")
+        if not 0 < self.lr_peak < math.inf:
+            raise ContractError(f"lr_peak must be finite and > 0, got {self.lr_peak}")
         if not 0 <= self.warmup_steps <= self.steps:
             raise ContractError(
                 f"warmup_steps must lie in [0, steps], got {self.warmup_steps}")
         if not 0.0 < self.alpha_train <= 1.0:
             raise ContractError(f"alpha_train must lie in (0, 1], got {self.alpha_train}")
-        if self.loss_lambda < 0:
-            raise ContractError(f"loss_lambda must be >= 0, got {self.loss_lambda}")
+        if not 0 <= self.loss_lambda < math.inf:
+            raise ContractError(f"loss_lambda must be finite and >= 0, got {self.loss_lambda}")
 
 
 def lr_schedule(step: int, cfg: TrainConfig) -> float:

@@ -4,8 +4,10 @@ They are not library API.  `finite_diff_check` compares reverse-mode
 gradients with central differences; `delta_identity_check` checks the
 difference decomposition of the adapted layer on the path the model runs,
 `AdapterStack.apply`; `one_layer_adapter` wraps float64 arrays as a
-one-layer adapter for that path.  `poke_payload` damages a saved container
-the way the savers never would, for the loaders' tests.
+one-layer adapter for that path.  `flow_oracle` is the per-block,
+per-candidate block-matching loop that the vectorised flow must reproduce
+bit for bit.  `poke_payload` damages a saved container the way the savers
+never would, for the loaders' tests.
 """
 
 import hashlib
@@ -110,6 +112,40 @@ def delta_identity_check(x_t, x_tn, w, entry, alpha) -> float:
     rhs = ((x_t - x_tn) @ w.T
            + float(alpha) * beta * ((x_t @ v_det) - (x_tn @ v_det)) @ v_cor.T)
     return float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
+
+
+def flow_oracle(prev, nxt, radius: int = 3) -> tuple[np.ndarray, bool]:
+    """Exhaustive block matching, one 4x4 block and one candidate at a time.
+
+    Returns ((Hb, Wb, 2) integer (dy, dx) from `prev` to `nxt`, saturated).
+    The SAD covers every channel; candidates are scanned in (dy² + dx², dy, dx)
+    order and replaced only on a strictly smaller SAD, so ties keep the
+    smallest displacement.  `saturated` is whether any winner has
+    max(|dy|, |dx|) == radius.
+    """
+    prev = np.asarray(prev, dtype=np.float64)
+    nxt = np.asarray(nxt, dtype=np.float64)
+    h, w, _ = prev.shape
+    candidates = sorted(
+        ((dy, dx) for dy in range(-radius, radius + 1) for dx in range(-radius, radius + 1)),
+        key=lambda d: (d[0] * d[0] + d[1] * d[1], d[0], d[1]))
+    flow = np.zeros((h // 4, w // 4, 2), dtype=int)
+    saturated = False
+    for by in range(h // 4):
+        for bx in range(w // 4):
+            y0, x0 = by * 4, bx * 4
+            ref = prev[y0:y0 + 4, x0:x0 + 4]
+            best, best_sad = None, np.inf
+            for dy, dx in candidates:
+                yy, xx = y0 + dy, x0 + dx
+                if yy < 0 or xx < 0 or yy + 4 > h or xx + 4 > w:
+                    continue
+                sad = float(np.abs(nxt[yy:yy + 4, xx:xx + 4] - ref).sum())
+                if sad < best_sad:
+                    best, best_sad = (dy, dx), sad
+            flow[by, bx] = best
+            saturated = saturated or max(abs(best[0]), abs(best[1])) == radius
+    return flow, saturated
 
 
 def poke_payload(path, index: int, value: float) -> None:

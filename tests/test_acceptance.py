@@ -41,7 +41,7 @@ from ufolab.model import ModelConfig, build_model, forward, load_model, save_mod
 from ufolab.tensor import Tensor
 from ufolab.video import Clip
 
-from oracles import delta_identity_check, one_layer_adapter
+from oracles import delta_identity_check, flow_oracle, one_layer_adapter
 
 ASSETS = Path(__file__).resolve().parents[1] / "assets"
 
@@ -434,32 +434,14 @@ def _consistency_oracle(arr, mask, block=4):
     return float(np.mean(sims))
 
 
-def _flow_oracle(prev, nxt, radius=3):
-    h, w = prev.shape[:2]
-    hb, wb = h // 4, w // 4
-    mags = np.zeros((hb, wb))
-    for by in range(hb):
-        for bx in range(wb):
-            block = prev[by * 4:by * 4 + 4, bx * 4:bx * 4 + 4, 0]
-            best = None
-            for dy in range(-radius, radius + 1):
-                for dx in range(-radius, radius + 1):
-                    y0, x0 = by * 4 + dy, bx * 4 + dx
-                    if y0 < 0 or x0 < 0 or y0 + 4 > h or x0 + 4 > w:
-                        continue
-                    cand = nxt[y0:y0 + 4, x0:x0 + 4, 0]
-                    score = (float(np.sum(np.abs(block.astype(np.float64)
-                                                 - cand.astype(np.float64)))),
-                             dy * dy + dx * dx, dy, dx)
-                    if best is None or score < best:
-                        best = score
-            mags[by, bx] = math.hypot(best[2], best[3])
-    return mags
+def _flow_mags_oracle(prev, nxt):
+    flow, _ = flow_oracle(prev, nxt)
+    return np.hypot(flow[..., 0], flow[..., 1])
 
 
 def _oft_oracle(arr):
     all_mags = np.concatenate(
-        [_flow_oracle(arr[i], arr[i + 1]).reshape(-1) for i in range(len(arr) - 1)])
+        [_flow_mags_oracle(arr[i], arr[i + 1]).reshape(-1) for i in range(len(arr) - 1)])
     k = max(1, math.ceil(0.05 * all_mags.size))
     return float(np.mean(np.sort(all_mags)[::-1][:k]))
 
@@ -489,7 +471,7 @@ def test_criterion_10_metrics_oracle_equivalence(capsys):
             worst = max(worst, abs(consistency_score(clip, "background", mask=mask)
                                    - _consistency_oracle(arr, ~mask)))
         maps, _ = estimate_flow(clip)
-        oracle_maps = np.stack([_flow_oracle(arr[i], arr[i + 1])
+        oracle_maps = np.stack([_flow_mags_oracle(arr[i], arr[i + 1])
                                 for i in range(f - 1)])
         worst = max(worst, float(np.max(np.abs(maps - oracle_maps))))
         worst = max(worst, abs(oft(clip) - _oft_oracle(arr)))

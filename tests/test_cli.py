@@ -135,6 +135,15 @@ def test_config_path_under_a_file_exits_2(tmp_path, capsys):
     assert "[paths] checkpoints (line" in capsys.readouterr().err
 
 
+def test_non_finite_loss_lambda_exits_2_and_writes_nothing(tmp_path, capsys):
+    ck, rp = tmp_path / "ck", tmp_path / "rp"
+    cfg = write_config(tmp_path / "exp.ini", ck, rp)
+    cfg.write_text(cfg.read_text().replace("[train]\n", "[train]\nloss_lambda = nan\n"))
+    assert main(["train-base", str(cfg)]) == 2
+    assert "loss_lambda" in capsys.readouterr().err
+    assert not any(p.is_file() for p in tmp_path.rglob("*") if p != cfg)
+
+
 def test_train_base_outputs_and_loss_rows(workspace):
     assert workspace.base.exists()
     rows = read_rows(workspace.rp / "train-base-seed5.csv")

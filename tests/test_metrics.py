@@ -20,6 +20,8 @@ from ufolab.metrics import (
 )
 from ufolab.synthdata import gen_moving_scene, make_static_video
 
+from oracles import flow_oracle
+
 
 def random_clip(seed, shape=(5, 16, 16, 1), lo=0.0, hi=1.0):
     rng = np.random.default_rng(seed)
@@ -62,27 +64,6 @@ def consistency_oracle(arr, region):
         else:
             sims.append(float(u @ v / (nu * nv)))
     return float(np.mean(sims))
-
-
-def flow_oracle(prev, nxt, radius=3):
-    h, w, _ = prev.shape
-    hb, wb = h // 4, w // 4
-    flow = np.zeros((hb, wb, 2), dtype=int)
-    for by in range(hb):
-        for bx in range(wb):
-            y0, x0 = by * 4, bx * 4
-            scored = []
-            for dy in range(-radius, radius + 1):
-                for dx in range(-radius, radius + 1):
-                    yy, xx = y0 + dy, x0 + dx
-                    if yy < 0 or xx < 0 or yy + 4 > h or xx + 4 > w:
-                        continue
-                    sad = np.abs(nxt[yy:yy + 4, xx:xx + 4].astype(np.float64)
-                                 - prev[y0:y0 + 4, x0:x0 + 4]).sum()
-                    scored.append((sad, dy * dy + dx * dx, dy, dx))
-            sad, _, dy, dx = min(scored)
-            flow[by, bx] = (dy, dx)
-    return flow
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +204,50 @@ def test_flow_matches_bruteforce_oracle():
         else:
             nxt = rng.uniform(0, 1, size=(16, 16, 1))
         got, _ = block_flow(prev, nxt)
-        assert np.array_equal(got, flow_oracle(prev, nxt))
+        assert np.array_equal(got, flow_oracle(prev, nxt)[0])
+
+
+def tie_heavy_clips():
+    """Clips full of equal SADs, static pairs, colour and out-of-radius motion."""
+    rng = np.random.default_rng(31)
+    levels = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
+    clips = [levels[rng.integers(0, 4, size=shape)]
+             for shape in [(5, 16, 16, 1)] * 12 + [(3, 12, 20, 1)] * 4]
+    clips.append(levels[rng.integers(0, 2, size=(4, 16, 16, 1))])  # two levels: more ties
+    clips.append(levels[rng.integers(0, 4, size=(4, 16, 16, 3))])  # C = 3
+    clips += [make_static_video(clips[0][0], 4).data, make_static_video(clips[-1][0], 3).data,
+              make_static_video(gen_moving_scene(2, 4).data[0], 5).data]
+    frame = rng.uniform(0, 1, size=(16, 16, 1))
+    clips.append(np.stack([np.roll(frame, 5 * t, axis=1) for t in range(3)]))  # beyond the radius
+    return clips
+
+
+def test_flow_matches_oracle_bit_for_bit_on_tie_heavy_clips():
+    for clip in tie_heavy_clips():
+        pairs = [flow_oracle(clip[i], clip[i + 1]) for i in range(len(clip) - 1)]
+        for i, (want, want_sat) in enumerate(pairs):
+            got, got_sat = block_flow(clip[i], clip[i + 1])
+            assert got.shape == want.shape and np.array_equal(got, want)
+            assert got_sat == want_sat
+        maps, saturated = estimate_flow(clip)
+        want_maps = np.stack([np.sqrt((f.astype(np.float64) ** 2).sum(axis=-1)) for f, _ in pairs])
+        assert maps.shape == want_maps.shape and np.array_equal(maps, want_maps)
+        assert saturated == any(sat for _, sat in pairs)
+    assert block_flow(*tie_heavy_clips()[-1][:2])[1]  # the 5-pixel shift saturates
+
+
+def test_flow_contracts():
+    frame = random_clip(9, shape=(1, 16, 16, 1))[0]
+    for prev, nxt in [(frame, frame[:8]), (frame[..., 0], frame[..., 0]),
+                      (frame[:14], frame[:14])]:
+        with pytest.raises(ContractError):
+            block_flow(prev, nxt)
+    bad = frame.copy()
+    bad[3, 5, 0] = np.nan
+    with pytest.raises(ContractError):
+        block_flow(frame, bad)
+    with pytest.raises(ContractError):
+        block_flow(frame, frame, radius=-1)
 
 
 def test_flow_shift_invariance():

@@ -75,6 +75,13 @@ def test_config_invariants():
         TrainConfig(loss_lambda=-0.1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("loss_lambda", float("nan")), ("loss_lambda", float("inf")), ("lr_peak", float("inf"))])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(ContractError):
+        TrainConfig(**{field: value})
+
+
 def test_lr_schedule_values():
     cfg = TrainConfig(steps=3000, warmup_steps=500, lr_peak=2e-4)
     assert lr_schedule(0, cfg) == 0.0
