@@ -31,7 +31,7 @@ from .metrics import (
 )
 from .model import DiffusionModel, ModelConfig, build_model, fingerprint, load_model, save_model
 from .synthdata import clip_stream, gen_moving_scene, make_static_video, render_clip
-from .tensor import Tensor, backward, new_tape, no_grad, reset_tape
+from .tensor import Tensor, backward, recording
 from .train import TrainConfig, train_base, train_ufo_consistency, train_ufo_style
 from .video import Clip, load_clip, save_clip
 

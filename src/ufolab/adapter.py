@@ -233,7 +233,7 @@ def load_adapter(path) -> UfoAdapter:
         if key not in header:
             raise FormatError(f"adapter header is missing '{key}'")
     rank = header["rank"]
-    if not isinstance(rank, int) or rank < 1:
+    if type(rank) is not int or rank < 1:
         raise FormatError(f"adapter rank must be a positive integer, got {rank!r}")
     kind = header["kind"]
     if kind not in KINDS:
@@ -244,11 +244,13 @@ def load_adapter(path) -> UfoAdapter:
     names = header["layer_names"]
     shapes = header["layer_shapes"]
     if (not isinstance(names, list) or not isinstance(shapes, list)
-            or len(names) != len(shapes) or not names):
+            or len(names) != len(shapes) or not names
+            or not all(isinstance(name, str) for name in names)
+            or len(set(names)) != len(names)):
         raise FormatError("adapter layer registry is malformed")
     for name, shape in zip(names, shapes):
         if (not isinstance(shape, list) or len(shape) != 2
-                or not all(isinstance(s, int) and s > 0 for s in shape)):
+                or not all(type(s) is int and s > 0 for s in shape)):
             raise FormatError(f"bad layer shape {shape!r} for '{name}'")
     specs = [(name, layer_spec(*shape, rank)) for name, shape in zip(names, shapes)]
     arrays = unpack_arrays(payload, at, [(f"{name}.{part}", shape)

@@ -58,13 +58,13 @@ def _int_list(text: str) -> tuple:
 
 
 # section -> key -> parser; the ModelConfig/TrainConfig field names are the
-# config keys, so the schema below is the whole vocabulary a file may use
+# config keys, so the schema below is the whole vocabulary a file may use.
+# `channels` is left out: the clip renderer draws one channel.
 _SCHEMA = {
     "model": {
-        "frames": _int, "height": _int, "width": _int, "channels": _int,
-        "patch": _int, "dim": _int, "heads": _int, "mlp_dim": _int,
-        "blocks": _int, "cond_vocab": _int, "timesteps": _int,
-        "schedule": _str, "fps": _float,
+        "frames": _int, "height": _int, "width": _int, "patch": _int,
+        "dim": _int, "heads": _int, "mlp_dim": _int, "blocks": _int,
+        "cond_vocab": _int, "timesteps": _int, "schedule": _str, "fps": _float,
     },
     "train": {
         "steps": _int, "batch_size": _int, "lr_peak": _float,

@@ -145,26 +145,25 @@ def sample(model: DiffusionModel, cond, seeds, stack=None,
     rngs = [np.random.default_rng(int(s)) for s in seeds]
     z = np.stack([r.standard_normal(shape) for r in rngs]).astype(dt)
 
-    with T.no_grad():
-        for k in range(k_steps - 1, -1, -1):
-            t_model = np.full(batch, ts[k], dtype=int)
-            eps_hat, v = forward(model, z, t_model, cond, stack)
-            eps_np, v_np = eps_hat.data, v.data
+    for k in range(k_steps - 1, -1, -1):
+        t_model = np.full(batch, ts[k], dtype=int)
+        eps_hat, v = forward(model, z, t_model, cond, stack)
+        eps_np, v_np = eps_hat.data, v.data
 
-            abar = float(sub.alpha_bar[k])
-            x0 = (z - math.sqrt(1.0 - abar) * eps_np) / math.sqrt(abar)
-            np.clip(x0, 0.0, 1.0, out=x0)
-            mean = float(sub.mean_coef_x0[k]) * x0 + float(sub.mean_coef_zt[k]) * z
-            if k == 0:
-                z = mean
-            else:
-                frac = (v_np + 1.0) * 0.5
-                logvar = frac * math.log(float(sub.betas[k])) \
-                    + (1.0 - frac) * float(sub.posterior_logvar[k])
-                noise = np.stack([r.standard_normal(shape) for r in rngs]).astype(dt)
-                z = mean + np.exp(0.5 * logvar) * noise
-            if not np.isfinite(z).all():
-                raise NumericError(f"sampler state became non-finite at step "
-                                   f"{k_steps - k} of {k_steps} (t={ts[k]})")
+        abar = float(sub.alpha_bar[k])
+        x0 = (z - math.sqrt(1.0 - abar) * eps_np) / math.sqrt(abar)
+        np.clip(x0, 0.0, 1.0, out=x0)
+        mean = float(sub.mean_coef_x0[k]) * x0 + float(sub.mean_coef_zt[k]) * z
+        if k == 0:
+            z = mean
+        else:
+            frac = (v_np + 1.0) * 0.5
+            logvar = frac * math.log(float(sub.betas[k])) \
+                + (1.0 - frac) * float(sub.posterior_logvar[k])
+            noise = np.stack([r.standard_normal(shape) for r in rngs]).astype(dt)
+            z = mean + np.exp(0.5 * logvar) * noise
+        if not np.isfinite(z).all():
+            raise NumericError(f"sampler state became non-finite at step "
+                               f"{k_steps - k} of {k_steps} (t={ts[k]})")
 
     return np.clip(z, 0.0, 1.0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -103,7 +104,7 @@ def unpack_arrays(payload: bytes, payload_at: int, specs) -> dict[str, np.ndarra
     cursor = 0
     for name, shape in specs:
         shape = tuple(int(s) for s in shape)
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 4
+        nbytes = math.prod(shape) * 4
         chunk = payload[cursor:cursor + nbytes]
         if len(chunk) < nbytes:
             raise FormatError(f"payload ends inside array '{name}'",

@@ -52,7 +52,7 @@ class ModelConfig:
         for name in ("frames", "height", "width", "channels", "patch", "dim",
                      "heads", "mlp_dim", "blocks", "cond_vocab", "timesteps"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if type(v) is not int or v < 1:  # bool is an int subclass
                 raise ContractError(f"config field {name} must be a positive integer, got {v!r}")
         if self.height % self.patch or self.width % self.patch:
             raise ContractError(f"patch {self.patch} must divide height {self.height} and width {self.width}")
@@ -64,7 +64,7 @@ class ModelConfig:
             raise ContractError(f"dtype must be float32 or float64, got {self.dtype!r}")
         if self.timesteps < 2:
             raise ContractError(f"timesteps must be >= 2, got {self.timesteps}")
-        if not 0 < self.fps < math.inf:
+        if isinstance(self.fps, bool) or not 0 < self.fps < math.inf:
             raise ContractError(f"fps must be finite and > 0, got {self.fps!r}")
 
     @property

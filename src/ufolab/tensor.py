@@ -1,7 +1,12 @@
 """Reverse-mode automatic differentiation on dense numpy arrays.
 
-Operations are recorded define-by-run onto a thread-local tape; ``backward``
-replays the tape once in reverse and accumulates vector-Jacobian products.
+Recording is opt-in.  Inside ``with recording() as tape:`` every operation
+with an input that requires a gradient is appended to ``tape``; ``backward``
+replays it once in reverse and accumulates vector-Jacobian products.  On exit
+the previous tape comes back, and the closed one, unless the caller keeps it,
+is freed with everything it held.  Outside any ``recording()`` operations
+only compute values, so inference and a stray forward pass keep no graph.
+
 Broadcasting is deliberately restricted: elementwise ops accept equal shapes
 or a trailing-suffix match, and anything richer must go through the explicit
 ``expand`` primitive.  There is no silent type or shape promotion anywhere.
@@ -11,6 +16,7 @@ from __future__ import annotations
 
 import threading
 import warnings
+from contextlib import contextmanager
 from typing import Callable
 
 import numpy as np
@@ -21,10 +27,8 @@ __all__ = [
     "Tensor",
     "Tape",
     "backward",
-    "reset_tape",
     "active_tape",
-    "new_tape",
-    "no_grad",
+    "recording",
     "add",
     "sub",
     "mul",
@@ -64,56 +68,28 @@ class Tape:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def clear(self) -> None:
-        self.nodes.clear()
-
 
 _STATE = threading.local()
-
-
-def _state():
-    if not hasattr(_STATE, "tape"):
-        _STATE.tape = Tape()
-        _STATE.grad_enabled = True
-    return _STATE
+_IDLE = Tape()  # the active tape outside recording(); nothing is appended to it
 
 
 def active_tape() -> Tape:
-    """Return the tape operations are currently recorded onto."""
-    return _state().tape
+    """The tape of the innermost open ``recording()``, else an empty tape."""
+    return getattr(_STATE, "tape", _IDLE)
 
 
-def reset_tape() -> None:
-    """Drop all recorded operations on the active tape."""
-    _state().tape.clear()
+@contextmanager
+def recording():
+    """Record operations onto a fresh tape for the body of the ``with``.
 
-
-class new_tape:
-    """Context manager that swaps in a fresh tape, restoring the old on exit."""
-
-    def __enter__(self) -> Tape:
-        st = _state()
-        self._saved = st.tape
-        st.tape = Tape()
-        return st.tape
-
-    def __exit__(self, *exc):
-        _state().tape = self._saved
-        return False
-
-
-class no_grad:
-    """Context manager that disables recording (inference mode)."""
-
-    def __enter__(self):
-        st = _state()
-        self._saved = st.grad_enabled
-        st.grad_enabled = False
-        return self
-
-    def __exit__(self, *exc):
-        _state().grad_enabled = self._saved
-        return False
+    Yields the tape; on exit the previous one is restored, so contexts nest.
+    """
+    saved = active_tape()
+    _STATE.tape = tape = Tape()
+    try:
+        yield tape
+    finally:
+        _STATE.tape = saved
 
 
 class Tensor:
@@ -222,10 +198,10 @@ def _coerce(x, like: Tensor | None = None) -> Tensor:
 
 
 def _record(out: Tensor, inputs: tuple, vjp: Callable) -> Tensor:
-    st = _state()
-    if st.grad_enabled and any(t.requires_grad for t in inputs):
+    tape = active_tape()
+    if tape is not _IDLE and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        st.tape.nodes.append(_Node(out, inputs, vjp))
+        tape.nodes.append(_Node(out, inputs, vjp))
     return out
 
 
@@ -484,9 +460,11 @@ def backward(loss: Tensor, tape: Tape | None = None) -> None:
 
     A leaf is a tensor that no recorded op produced (parameters, inputs);
     gradients for intermediates flow through but are not stored.  ``loss``
-    must be a scalar produced on the tape; if it is disconnected a
-    RuntimeWarning is emitted and every leaf gradient is zero.  Gradients
-    add into existing ``.grad`` buffers, so callers clear them between steps.
+    must be a scalar produced on the tape, which defaults to the active one:
+    call it inside the ``recording()`` that built the loss.  If the loss is
+    disconnected a RuntimeWarning is emitted and every leaf gradient is zero.
+    Gradients add into existing ``.grad`` buffers, so callers clear them
+    between steps.
     """
     if not isinstance(loss, Tensor):
         raise ContractError("backward expects a Tensor loss")

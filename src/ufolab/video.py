@@ -5,6 +5,7 @@ sidecar describing the geometry and frame rate."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -14,6 +15,11 @@ from .errors import ContractError, FormatError
 from .fileio import atomic_write_bytes, canonical_json
 
 SIDECAR_KEYS = ("frames", "height", "width", "channels", "fps")
+
+
+def _is_fps(fps) -> bool:
+    # a bool is an int to Python, but True frames per second is damage
+    return isinstance(fps, (int, float)) and not isinstance(fps, bool) and 0 < fps < math.inf
 
 
 @dataclass
@@ -32,8 +38,8 @@ class Clip:
             raise ContractError("clip data contains non-finite values")
         if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
             raise ContractError(f"clip values must lie in [0, 1], got [{arr.min()}, {arr.max()}]")
-        if not (isinstance(self.fps, (int, float)) and self.fps > 0):
-            raise ContractError(f"fps must be a positive number, got {self.fps!r}")
+        if not _is_fps(self.fps):
+            raise ContractError(f"fps must be a finite positive number, got {self.fps!r}")
         self.data = arr
         self.fps = float(self.fps)
 
@@ -72,14 +78,14 @@ def load_clip(path) -> Clip:
         if key not in sidecar:
             raise FormatError(f"sidecar is missing key '{key}'")
     dims = [sidecar[k] for k in ("frames", "height", "width", "channels")]
-    if not all(isinstance(d, int) and d > 0 for d in dims):
+    if not all(type(d) is int and d > 0 for d in dims):
         raise FormatError(f"sidecar geometry must be positive integers, got {dims}")
     fps = sidecar["fps"]
-    if not (isinstance(fps, (int, float)) and fps > 0):
-        raise FormatError(f"sidecar fps must be positive, got {fps!r}")
+    if not _is_fps(fps):
+        raise FormatError(f"sidecar fps must be a finite positive number, got {fps!r}")
 
     blob = path.read_bytes()
-    expected = int(np.prod(dims, dtype=np.int64)) * 4
+    expected = math.prod(dims) * 4
     if len(blob) != expected:
         raise FormatError(f"payload holds {len(blob)} bytes, sidecar promises {expected}",
                           offset=min(len(blob), expected))

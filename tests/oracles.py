@@ -47,14 +47,12 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x, eps: float = 1e-6) -> fl
             out = T.tsum(T.mul(out, Tensor(w, dtype=np.float64)))
         return leaf, out
 
-    with T.new_tape():
-        _, y1 = reduced(base)
-    with T.new_tape():
-        _, y2 = reduced(base)
+    _, y1 = reduced(base)
+    _, y2 = reduced(base)
     if not np.array_equal(y1.data, y2.data):
         raise ContractError("finite_diff_check: f is not deterministic across repeated calls")
 
-    with T.new_tape() as tape:
+    with T.recording() as tape:
         leaf, y = reduced(base)
         T.backward(y, tape)
     analytic = leaf.grad if leaf.grad is not None else np.zeros_like(base)
@@ -65,11 +63,9 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x, eps: float = 1e-6) -> fl
     for i in range(flat.size):
         bump = np.array(flat, copy=True)
         bump[i] = flat[i] + eps
-        with T.new_tape():
-            _, hi = reduced(bump.reshape(base.shape))
+        _, hi = reduced(bump.reshape(base.shape))
         bump[i] = flat[i] - eps
-        with T.new_tape():
-            _, lo = reduced(bump.reshape(base.shape))
+        _, lo = reduced(bump.reshape(base.shape))
         num_flat[i] = (hi.item() - lo.item()) / (2.0 * eps)
 
     err = np.abs(analytic - numeric) / (np.abs(numeric) + eps)
@@ -104,9 +100,8 @@ def delta_identity_check(x_t, x_tn, w, entry, alpha) -> float:
 
     def adapted(x):
         x2 = x.reshape(-1, x.shape[-1])
-        with T.no_grad():
-            return stack.apply("L", Tensor(x2), Tensor(x2 @ w.T)).data.reshape(
-                x.shape[:-1] + (w.shape[0],))
+        return stack.apply("L", Tensor(x2), Tensor(x2 @ w.T)).data.reshape(
+            x.shape[:-1] + (w.shape[0],))
 
     lhs = adapted(x_t) - adapted(x_tn)
     rhs = ((x_t - x_tn) @ w.T

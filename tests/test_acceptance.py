@@ -51,13 +51,6 @@ GRID_CONDS = np.arange(32) % 16
 GRID_STEPS = 100
 
 
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    T.reset_tape()
-    yield
-    T.reset_tape()
-
-
 def announce(capsys, number, name, ok, detail):
     with capsys.disabled():
         print(f"\ncriterion {number} ({name}): {'PASS' if ok else 'FAIL'} — {detail}")
@@ -147,40 +140,39 @@ def _random_entry(rng, n, m, d):
 def test_criterion_02_adapter_algebra(capsys):
     rng = np.random.default_rng(7)
     worst_delta = worst_affine = worst_compose = 0.0
-    with T.no_grad():
-        for case in range(1000):
-            n, m, d = (int(v) for v in rng.integers(1, 9, size=3))
-            w = rng.normal(size=(m, n))
-            bias = rng.normal(size=m)
-            v_det, v_cor, beta = _random_entry(rng, n, m, d)
-            x_t, x_tn = rng.normal(size=n), rng.normal(size=n)
-            a, b = rng.uniform(0, 0.5, size=2)
+    for case in range(1000):
+        n, m, d = (int(v) for v in rng.integers(1, 9, size=3))
+        w = rng.normal(size=(m, n))
+        bias = rng.normal(size=m)
+        v_det, v_cor, beta = _random_entry(rng, n, m, d)
+        x_t, x_tn = rng.normal(size=n), rng.normal(size=n)
+        a, b = rng.uniform(0, 0.5, size=2)
 
-            worst_delta = max(worst_delta, delta_identity_check(
-                x_t, x_tn, w, (v_det, v_cor, beta), float(a + b)))
+        worst_delta = max(worst_delta, delta_identity_check(
+            x_t, x_tn, w, (v_det, v_cor, beta), float(a + b)))
 
-            # the model's path: _linear hands x and x W^T + b to AdapterStack.apply
-            x2 = Tensor(x_t.reshape(1, n))
-            base_y = Tensor(x_t.reshape(1, n) @ w.T + bias)
-            adapter = one_layer_adapter(v_det, v_cor, beta)
+        # the model's path: _linear hands x and x W^T + b to AdapterStack.apply
+        x2 = Tensor(x_t.reshape(1, n))
+        base_y = Tensor(x_t.reshape(1, n) @ w.T + bias)
+        adapter = one_layer_adapter(v_det, v_cor, beta)
 
-            def y(alpha):
-                return AdapterStack([(adapter, alpha)]).apply("L", x2, base_y).data
+        def y(alpha):
+            return AdapterStack([(adapter, alpha)]).apply("L", x2, base_y).data
 
-            affine = np.max(np.abs((y(a) + y(b)) - (y(0.0) + y(a + b))))
-            worst_affine = max(worst_affine, float(affine))
+        affine = np.max(np.abs((y(a) + y(b)) - (y(0.0) + y(a + b))))
+        worst_affine = max(worst_affine, float(affine))
 
-        for case in range(200):
-            n, m, d = (int(v) for v in rng.integers(1, 6, size=3))
-            x2 = Tensor(rng.normal(size=(3, n)))
-            base_y = Tensor(rng.normal(size=(3, m)))
-            pair = []
-            for k in range(2):
-                adapter = one_layer_adapter(*_random_entry(rng, n, m, d))
-                pair.append((adapter, float(rng.uniform(0, 1))))
-            fwd = AdapterStack(pair).apply("L", x2, base_y).data
-            rev = AdapterStack(pair[::-1]).apply("L", x2, base_y).data
-            worst_compose = max(worst_compose, float(np.max(np.abs(fwd - rev))))
+    for case in range(200):
+        n, m, d = (int(v) for v in rng.integers(1, 6, size=3))
+        x2 = Tensor(rng.normal(size=(3, n)))
+        base_y = Tensor(rng.normal(size=(3, m)))
+        pair = []
+        for k in range(2):
+            adapter = one_layer_adapter(*_random_entry(rng, n, m, d))
+            pair.append((adapter, float(rng.uniform(0, 1))))
+        fwd = AdapterStack(pair).apply("L", x2, base_y).data
+        rev = AdapterStack(pair[::-1]).apply("L", x2, base_y).data
+        worst_compose = max(worst_compose, float(np.max(np.abs(fwd - rev))))
 
     ok = worst_delta <= 1e-12 and worst_affine <= 1e-12 and worst_compose <= 1e-12
     announce(capsys, 2, "adapter algebra, 1000 float64 cases", ok,
@@ -229,7 +221,7 @@ def test_criterion_03_gradient_correctness(capsys):
             return (T.tmean(T.square(eps_hat - Tensor(eps_tgt)))
                     + T.tmean(T.square(v - Tensor(v_tgt))))
 
-        with T.new_tape() as tape:
+        with T.recording() as tape:
             T.backward(loss(), tape)
         grads = {name: (p.grad.copy() if p.grad is not None else np.zeros(p.shape))
                  for name, p in tensors.items()}
@@ -241,11 +233,9 @@ def test_criterion_03_gradient_correctness(capsys):
             i = int(case.integers(0, flat.size))
             keep = flat[i]
             flat[i] = keep + 1e-6
-            with T.new_tape():
-                hi = loss().item()
+            hi = loss().item()
             flat[i] = keep - 1e-6
-            with T.new_tape():
-                lo = loss().item()
+            lo = loss().item()
             flat[i] = keep
             numeric = (hi - lo) / 2e-6
             analytic = grads[name].reshape(-1)[i]

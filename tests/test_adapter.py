@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from ufolab import tensor as T
 from ufolab.adapter import (
     AdapterLayer,
     AdapterStack,
@@ -26,13 +25,6 @@ TINY = ModelConfig(frames=2, height=4, width=4, channels=1, patch=2, dim=8,
                    heads=2, mlp_dim=16, blocks=1, cond_vocab=4, timesteps=5)
 
 
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    T.reset_tape()
-    yield
-    T.reset_tape()
-
-
 def random_adapter(model, seed, rank=2, scale=0.1):
     """An adapter with non-trivial correctors (fresh ones are exact no-ops)."""
     adapter = init_adapter(model, rank=rank, seed=seed)
@@ -50,8 +42,7 @@ def adapted(w, x, v_det, v_cor, beta, alpha, bias=None) -> np.ndarray:
     `_linear` computes it before it hands the rows to the stack."""
     y = x @ np.asarray(w).T + (0.0 if bias is None else bias)
     stack = AdapterStack([(one_layer_adapter(v_det, v_cor, beta), alpha)])
-    with T.no_grad():
-        return stack.apply("L", Tensor(x), Tensor(y)).numpy()
+    return stack.apply("L", Tensor(x), Tensor(y)).numpy()
 
 
 def test_worked_example():
@@ -129,10 +120,9 @@ def test_stack_alpha_zero_matches_no_stack_bit_for_bit():
     adapter = random_adapter(model, seed=5)
     z = rng.normal(size=(2, 2, 4, 4, 1)).astype(np.float32)
     t, c = np.array([1, 4]), np.array([0, 2])
-    with T.no_grad():
-        base_eps, base_v = forward(model, z, t, c)
-        eps0, v0 = forward(model, z, t, c, stack=compose(model, [(adapter, 0.0)]))
-        eps1, _ = forward(model, z, t, c, stack=compose(model, [(adapter, 0.5)]))
+    base_eps, base_v = forward(model, z, t, c)
+    eps0, v0 = forward(model, z, t, c, stack=compose(model, [(adapter, 0.0)]))
+    eps1, _ = forward(model, z, t, c, stack=compose(model, [(adapter, 0.5)]))
     assert np.array_equal(base_eps.data, eps0.data)
     assert np.array_equal(base_v.data, v0.data)
     assert not np.array_equal(base_eps.data, eps1.data)  # the adapter does act
@@ -146,9 +136,8 @@ def test_fresh_adapter_is_no_op_at_any_intensity():
     fresh = init_adapter(model, rank=3, seed=0)
     z = rng.normal(size=(1, 2, 4, 4, 1)).astype(np.float32)
     t, c = np.array([2]), np.array([1])
-    with T.no_grad():
-        base, _ = forward(model, z, t, c)
-        adapted, _ = forward(model, z, t, c, stack=compose(model, [(fresh, 1.0)]))
+    base, _ = forward(model, z, t, c)
+    adapted, _ = forward(model, z, t, c, stack=compose(model, [(fresh, 1.0)]))
     assert np.array_equal(base.data, adapted.data)
 
 
@@ -159,9 +148,8 @@ def test_composition_is_order_invariant_to_the_bit():
     rng = np.random.default_rng(6)
     z = rng.normal(size=(2, 2, 4, 4, 1)).astype(np.float32)
     t, c = np.array([3, 1]), np.array([2, 0])
-    with T.no_grad():
-        e12, v12 = forward(model, z, t, c, stack=compose(model, [(a1, 0.4), (a2, 0.8)]))
-        e21, v21 = forward(model, z, t, c, stack=compose(model, [(a2, 0.8), (a1, 0.4)]))
+    e12, v12 = forward(model, z, t, c, stack=compose(model, [(a1, 0.4), (a2, 0.8)]))
+    e21, v21 = forward(model, z, t, c, stack=compose(model, [(a2, 0.8), (a1, 0.4)]))
     assert np.array_equal(e12.data, e21.data)
     assert np.array_equal(v12.data, v21.data)
 
@@ -315,9 +303,8 @@ def test_transfer_same_weights_is_bit_identical(tmp_path):
     rng = np.random.default_rng(8)
     z = rng.normal(size=(2,) + (TINY.frames, TINY.height, TINY.width, TINY.channels))
     t, c = np.array([1, 3]), np.array([0, 2])
-    with T.no_grad():
-        eps_a, _ = forward(source, z, t, c, stack_src)
-        eps_b, _ = forward(target, z, t, c, stack_tgt)
+    eps_a, _ = forward(source, z, t, c, stack_src)
+    eps_b, _ = forward(target, z, t, c, stack_tgt)
     assert np.array_equal(eps_a.data, eps_b.data)
 
 

@@ -15,7 +15,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import ufolab.tensor as T
 from ufolab.adapter import init_adapter, load_adapter, save_adapter
 from ufolab.cli import build_parser, main
 from ufolab.config import OUTPUT_ROOT_ENV
@@ -30,7 +29,7 @@ CONFIG = textwrap.dedent("""\
     frames = 2
     height = 16
     width = 16
-    channels = 1
+    # no channels key: the clip renderer draws one channel
     patch = 8
     dim = 8
     heads = 2
@@ -61,13 +60,6 @@ def write_config(path, ck, rp, steps=3, lr="3e-3", alpha_train="1.0", seed=5):
     path.write_text(CONFIG.format(steps=steps, lr=lr, alpha_train=alpha_train,
                                   seed=seed, ck=ck, rp=rp))
     return path
-
-
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    T.reset_tape()
-    yield
-    T.reset_tape()
 
 
 @pytest.fixture(scope="module")
@@ -112,9 +104,11 @@ def test_unknown_config_key_exits_2(tmp_path):
 
 @pytest.mark.parametrize("anchor, text, line", [
     ("[data]", "[data]\nresolution = 16", 23), ("[data]", "[data]\nframes = 2", 23),
-    ("[paths]", "[eval]\nalphas = 0.0,0.1\n[paths]", 25)])
+    ("[paths]", "[eval]\nalphas = 0.0,0.1\n[paths]", 25),
+    ("width = 16", "width = 16\nchannels = 1", 5)])
 def test_removed_config_key_exits_2_with_its_line(tmp_path, capsys, anchor, text, line):
-    # geometry comes from the model and sweeps take flags; these keys are gone
+    # geometry comes from the model, clips have one channel and sweeps take
+    # flags; these keys are gone
     cfg = write_config(tmp_path / "exp.ini", tmp_path / "ck", tmp_path / "rp")
     cfg.write_text(cfg.read_text().replace(anchor, text))
     assert main(["train-base", str(cfg)]) == 2

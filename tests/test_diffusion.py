@@ -25,13 +25,6 @@ TINY = ModelConfig(frames=2, height=4, width=4, channels=1, patch=2, dim=8,
                    dtype="float64")
 
 
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    T.reset_tape()
-    yield
-    T.reset_tape()
-
-
 def gauss_kl(mu_q, logvar_q, mu_p, logvar_p):
     return 0.5 * (-1.0 + logvar_p - logvar_q + np.exp(logvar_q - logvar_p)
                   + (mu_q - mu_p) ** 2 * np.exp(-logvar_p))
@@ -108,8 +101,7 @@ def test_losses_match_oracle_with_trained_heads():
     t[1] = 1
     out = training_losses(model, z0, t, cond, eps)
     z_t = diffuse(z0, t, eps, model.sched)
-    with T.no_grad():
-        eps_hat, v = forward(model, z_t, t, cond)
+    eps_hat, v = forward(model, z_t, t, cond)
     assert abs(out["l_simple"].item() - np.mean((eps_hat.data - eps) ** 2)) < 1e-12
     want = vlb_oracle(model.sched, z0, t, eps_hat.data, v.data, z_t)
     assert abs(out["l_vlb"].item() - want) < 1e-12
@@ -122,9 +114,8 @@ def test_vlb_gradient_reaches_only_the_variance_head():
         model.params[p].data[...] = rng.normal(size=model.params[p].shape) * 0.3
     z0, eps, t, cond = batch(7, model)
 
-    T.reset_tape()
-    out = training_losses(model, z0, t, cond, eps)
-    T.backward(out["l_vlb"])
+    with T.recording():
+        T.backward(training_losses(model, z0, t, cond, eps)["l_vlb"])
     eps_w, sig_w = model.params["head_eps.w"], model.params["head_sigma.w"]
     assert np.all(eps_w.grad == 0.0), "detached noise estimate leaked gradient"
     assert np.any(sig_w.grad != 0.0)
@@ -132,15 +123,13 @@ def test_vlb_gradient_reaches_only_the_variance_head():
     # the total loss gives the eps head exactly the L_simple gradient
     for p in model.params.values():
         p.grad = None
-    T.reset_tape()
-    out = training_losses(model, z0, t, cond, eps)
-    T.backward(out["l_simple"])
+    with T.recording():
+        T.backward(training_losses(model, z0, t, cond, eps)["l_simple"])
     simple_grad = eps_w.grad.copy()
     for p in model.params.values():
         p.grad = None
-    T.reset_tape()
-    out = training_losses(model, z0, t, cond, eps)
-    T.backward(out["loss"])
+    with T.recording():
+        T.backward(training_losses(model, z0, t, cond, eps)["loss"])
     assert np.array_equal(eps_w.grad, simple_grad)
 
 

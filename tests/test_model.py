@@ -26,13 +26,6 @@ TINY = ModelConfig(frames=2, height=4, width=4, channels=1, patch=2, dim=8,
                    dtype="float64")
 
 
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    T.reset_tape()
-    yield
-    T.reset_tape()
-
-
 def expected_param_count(cfg: ModelConfig) -> int:
     # independent arithmetic straight from the architecture description
     sites = (cfg.height // cfg.patch) * (cfg.width // cfg.patch)
@@ -86,9 +79,8 @@ def test_forward_is_deterministic():
     rng = np.random.default_rng(5)
     z = rng.normal(size=(2, 2, 4, 4, 1))
     t, c = np.array([2, 4]), np.array([1, 2])
-    with T.no_grad():
-        e1, v1 = forward(model, z, t, c)
-        e2, v2 = forward(model, z, t, c)
+    e1, v1 = forward(model, z, t, c)
+    e2, v2 = forward(model, z, t, c)
     assert np.array_equal(e1.data, e2.data) and np.array_equal(v1.data, v2.data)
 
 
@@ -140,7 +132,7 @@ def test_gradients_match_finite_differences_through_whole_network():
                   "block0.ln2.g", "t_table", "head_eps.w"):
         f = loss_wrt(pname)
         base = model.params[pname].data.copy()
-        with T.new_tape() as tape:
+        with T.recording() as tape:
             leaf = Tensor(base, requires_grad=True)
             T.backward(f(leaf), tape)
         flat = base.reshape(-1)
@@ -149,11 +141,9 @@ def test_gradients_match_finite_differences_through_whole_network():
         for i in picks:
             bump = flat.copy()
             bump[i] = flat[i] + 1e-6
-            with T.new_tape():
-                hi = f(Tensor(bump.reshape(base.shape))).item()
+            hi = f(Tensor(bump.reshape(base.shape))).item()
             bump[i] = flat[i] - 1e-6
-            with T.new_tape():
-                lo = f(Tensor(bump.reshape(base.shape))).item()
+            lo = f(Tensor(bump.reshape(base.shape))).item()
             numeric = (hi - lo) / 2e-6
             analytic = leaf.grad.reshape(-1)[i]
             assert abs(analytic - numeric) < 1e-7, (
@@ -212,8 +202,10 @@ def test_checkpoint_rejects_damage(tmp_path):
         load_model(path)
 
 
-@pytest.mark.parametrize("config", [5, {"fps": -3.0}, {"timesteps": 1}],
-                         ids=["not-an-object", "negative-fps", "one-timestep"])
+@pytest.mark.parametrize("config", [5, {"fps": -3.0}, {"timesteps": 1}, {"fps": True},
+                                    {"blocks": True}],
+                         ids=["not-an-object", "negative-fps", "one-timestep", "boolean-fps",
+                              "boolean-blocks"])
 def test_checkpoint_rejects_bad_config_header(tmp_path, config):
     model = build_model(ModelConfig(frames=2, height=4, width=4, patch=2, dim=8, heads=2,
                                     mlp_dim=16, blocks=1, cond_vocab=4), seed=1)

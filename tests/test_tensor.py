@@ -11,16 +11,10 @@ import pytest
 
 from ufolab import tensor as T
 from ufolab.errors import ContractError, DimensionError
+from ufolab.model import ModelConfig, build_model, forward
 from ufolab.tensor import Tensor, backward
 
 from oracles import finite_diff_check
-
-
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    T.reset_tape()
-    yield
-    T.reset_tape()
 
 
 def leaf(data):
@@ -84,18 +78,20 @@ def test_gelu_reference_points():
 
 def test_take_rows_values_and_duplicate_grad():
     table = leaf([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    out = T.take_rows(table, np.array([0, 0, 2]))
+    with T.recording():
+        out = T.take_rows(table, np.array([0, 0, 2]))
+        backward(T.tsum(out))
     assert out.numpy().tolist() == [[1.0, 2.0], [1.0, 2.0], [5.0, 6.0]]
-    backward(T.tsum(out))
     # row 0 selected twice, row 1 never, row 2 once
     assert table.grad.tolist() == [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]]
 
 
 def test_expand_and_reduction_shapes():
     x = leaf([[1.0], [2.0]])  # (2, 1)
-    y = T.expand(x, (3, 2, 5))
+    with T.recording():
+        y = T.expand(x, (3, 2, 5))
+        backward(T.tsum(y))
     assert y.shape == (3, 2, 5)
-    backward(T.tsum(y))
     # every element copied 3 * 5 = 15 times
     assert x.grad.tolist() == [[15.0], [15.0]]
 
@@ -139,7 +135,8 @@ def test_reshape_and_transpose_validation():
 
 def test_sum_of_squares_gradient_is_2x():
     x = leaf([1.0, 2.0, 3.0])
-    backward(T.tsum(T.square(x)))
+    with T.recording():
+        backward(T.tsum(T.square(x)))
     assert x.grad.tolist() == [2.0, 4.0, 6.0]
 
 
@@ -152,67 +149,94 @@ def test_backward_rejects_non_scalar():
 
 def test_disconnected_loss_warns_and_zeroes():
     x = leaf([1.0, 2.0])
-    _ = T.square(x)  # recorded but unrelated to the loss below
     stray = Tensor(np.array(5.0), requires_grad=True)
-    with pytest.warns(RuntimeWarning):
+    with T.recording(), pytest.warns(RuntimeWarning):
+        _ = T.square(x)  # recorded but unrelated to the loss below
         backward(stray)
     assert x.grad.tolist() == [0.0, 0.0]
 
 
-def test_backward_after_reset_tape_is_disconnected():
+def test_tape_is_dropped_when_recording_closes():
     x = leaf([1.0, 2.0])
-    loss = T.tsum(T.square(x))
-    T.reset_tape()
-    with pytest.warns(RuntimeWarning):
+    with T.recording() as tape:
+        loss = T.tsum(T.square(x))
+        assert len(tape) == 2 and T.active_tape() is tape
+    assert len(T.active_tape()) == 0
+    with pytest.warns(RuntimeWarning, match="not connected"):
         backward(loss)
     assert x.grad is None  # nothing recorded anymore
 
 
+def test_nested_recording_restores_the_outer_tape():
+    x = leaf([1.0, 2.0])
+    with T.recording() as outer:
+        y = T.square(x)
+        with T.recording() as inner:
+            T.neg(x)
+            assert T.active_tape() is inner and len(inner) == 1
+        assert T.active_tape() is outer and len(outer) == 1
+        backward(T.tsum(y))
+    assert x.grad.tolist() == [2.0, 4.0]
+
+
 def test_gradients_accumulate_until_cleared():
     x = leaf([1.0, 2.0])
-    backward(T.tsum(T.square(x)))
+    with T.recording():
+        backward(T.tsum(T.square(x)))
     first = x.grad.copy()
-    T.reset_tape()
-    backward(T.tsum(T.square(x)))
+    with T.recording():
+        backward(T.tsum(T.square(x)))
     assert np.array_equal(x.grad, 2.0 * first)
 
 
 def test_shared_input_gradients_add():
     x = leaf([2.0])
-    y = T.mul(x, x)  # x used twice -> d/dx = 2x = 4
-    backward(T.tsum(y))
+    with T.recording():
+        y = T.mul(x, x)  # x used twice -> d/dx = 2x = 4
+        backward(T.tsum(y))
     assert x.grad.tolist() == [4.0]
 
 
 def test_detach_blocks_gradient():
     x = leaf([3.0])
-    y = T.mul(x.detach(), x)  # only the second factor carries gradient
-    backward(T.tsum(y))
+    with T.recording():
+        y = T.mul(x.detach(), x)  # only the second factor carries gradient
+        backward(T.tsum(y))
     assert x.grad.tolist() == [3.0]
 
 
-def test_no_grad_suppresses_recording():
+def test_ops_outside_recording_keep_no_graph():
     x = leaf([1.0, 2.0])
-    with T.no_grad():
-        y = T.square(x)
+    y = T.square(x)
     assert not y.requires_grad
+    assert len(T.active_tape()) == 0
+
+
+def test_forwards_outside_recording_keep_no_graph():
+    # each default-size forward used to leave 206 nodes on a process-wide tape
+    model = build_model(ModelConfig(), seed=0)
+    cfg = model.config
+    z = np.zeros((2, cfg.frames, cfg.height, cfg.width, cfg.channels), dtype=np.float32)
+    for _ in range(3):
+        eps, v = forward(model, z, np.array([1, 50]), np.array([0, 3]))
+        assert not eps.requires_grad and not v.requires_grad
     assert len(T.active_tape()) == 0
 
 
 def test_grad_dtype_follows_parameter_dtype():
     x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
-    backward(T.tsum(T.square(x)))
+    with T.recording():
+        backward(T.tsum(T.square(x)))
     assert x.grad.dtype == np.float32
 
 
 def test_repeated_backward_is_bit_deterministic():
     def run():
-        T.reset_tape()
         rng = np.random.default_rng(11)
         x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        out = T.tmean(T.square(T.gelu(T.matmul(x, w))))
-        backward(out)
+        with T.recording():
+            backward(T.tmean(T.square(T.gelu(T.matmul(x, w)))))
         return x.grad.copy(), w.grad.copy()
 
     gx1, gw1 = run()

@@ -26,13 +26,6 @@ TINY = ModelConfig(frames=2, height=16, width=16, channels=1, patch=8, dim=8,
                    heads=2, mlp_dim=16, blocks=1, cond_vocab=16, timesteps=8)
 
 
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    T.reset_tape()
-    yield
-    T.reset_tape()
-
-
 def tiny_cfg(**kw):
     base = dict(steps=4, batch_size=2, lr_peak=3e-3, warmup_steps=2, seed=0)
     base.update(kw)
@@ -159,6 +152,17 @@ def test_divergent_run_aborts_with_step_index():
     with np.errstate(all="ignore"), pytest.raises(NumericError) as err:
         train_base(model, stream_for(cfg), cfg)
     assert "step" in str(err.value)
+
+
+def test_nan_loss_leaves_no_tape_behind():
+    model = build_model(TINY, seed=0)
+    model.params["head_eps.w"].data[...] = np.nan
+
+    with T.recording() as outer:
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="step 1"):
+            train_base(model, stream_for(tiny_cfg()), tiny_cfg())
+        assert T.active_tape() is outer and len(outer) == 0
+    assert len(T.active_tape()) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,13 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ufolab.adapter import ADAPTER_MAGIC, init_adapter, load_adapter, save_adapter
 from ufolab.errors import ContractError, FormatError, NumericError
 from ufolab.fileio import atomic_write_bytes, read_container, unpack_arrays, write_container
+from ufolab.model import ModelConfig, build_model, load_model, save_model
 from ufolab.video import Clip, load_clip, save_clip
 
 
@@ -31,6 +35,27 @@ def test_clip_validation():
         Clip(np.full((1, 2, 2, 1), np.nan, dtype=np.float32))
     with pytest.raises(ContractError):
         Clip(np.zeros((1, 2, 2, 1), dtype=np.float32), fps=0.0)
+
+
+@pytest.mark.parametrize("fps", [float("inf"), float("nan"), True])
+def test_clip_refuses_non_finite_or_boolean_fps(fps):
+    with pytest.raises(ContractError, match="fps"):
+        Clip(np.zeros((1, 2, 2, 1), dtype=np.float32), fps=fps)
+
+
+@pytest.mark.parametrize("key, text, complaint", [
+    ("fps", "Infinity", "fps"), ("fps", "NaN", "fps"), ("fps", "true", "fps"),
+    ("frames", "true", "geometry")])
+def test_sidecar_refuses_non_finite_or_boolean_numbers(tmp_path, key, text, complaint):
+    # one frame, so `"frames": true` would read as 1 and match the payload
+    path = tmp_path / "c.vclip"
+    save_clip(make_clip(shape=(1, 4, 4, 1)), path)
+    side = tmp_path / "c.vclip.json"
+    doc = json.loads(side.read_text())
+    doc[key] = "@"
+    side.write_text(json.dumps(doc).replace('"@"', text))
+    with pytest.raises(FormatError, match=complaint):
+        load_clip(path)
 
 
 def test_clip_round_trip_is_bit_exact(tmp_path):
@@ -169,3 +194,66 @@ def test_atomic_writes_from_two_threads_to_one_path(tmp_path):
     assert errors == []
     assert path.read_bytes() in blobs
     assert [p.name for p in tmp_path.iterdir()] == ["shared.bin"]  # no temp file left
+
+
+# ---------------------------------------------------------------------------
+# damaged artifacts
+# ---------------------------------------------------------------------------
+
+FUZZ_MODEL = ModelConfig(frames=2, height=4, width=4, channels=1, patch=2, dim=8,
+                         heads=2, mlp_dim=16, blocks=1, cond_vocab=4, timesteps=5)
+LOADERS = {"m.ufom": load_model, "a.ufoa": load_adapter,
+           "c.vclip": load_clip, "c.vclip.json": load_clip}
+# bytes that change a value's type, sign or size, or the document's structure
+PICKS = st.one_of(st.sampled_from(b'0129-.e"[]{},:tn\x00\x80\xff'), st.integers(0, 255))
+
+
+@pytest.mark.parametrize("names, shapes, floats", [
+    (["L"], [[10**20, 4]], 4),               # OverflowError sizing the array
+    (["L"], [[True, 4]], 6),                 # loaded as a one-row layer
+    ([["L"]], [[2, 4]], 7),                  # TypeError: a list is no name
+    (["L", "L"], [[2, 4], [2, 4]], 14)],     # loaded, one layer silently lost
+    ids=["huge", "bool", "list-name", "repeated"])
+def test_adapter_loader_refuses_malformed_registry(tmp_path, names, shapes, floats):
+    header = {"kind": "consistency", "recommended_alpha": 0.1, "rank": 1,
+              "fingerprint": "x", "layer_names": names, "layer_shapes": shapes}
+    path = tmp_path / "a.ufoa"
+    write_container(path, ADAPTER_MAGIC, header, [np.zeros(floats)])
+    with pytest.raises(FormatError):
+        load_adapter(path)
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """A small saved model, adapter and clip, plus a directory to damage copies in."""
+    root = tmp_path_factory.mktemp("artifacts")
+    model = build_model(FUZZ_MODEL, seed=0)
+    save_model(model, root / "m.ufom")
+    save_adapter(init_adapter(model, rank=2, seed=1), root / "a.ufoa")
+    save_clip(make_clip(shape=(2, 4, 4, 1)), root / "c.vclip")
+    (root / "work").mkdir()
+    return root
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_damaged_artifact_loads_or_raises_format_error(artifacts, name, data):
+    blob = (artifacts / name).read_bytes()
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="cut")]
+    else:
+        blob = bytearray(blob)
+        # half the edits land in the first 1 KiB, where the headers are
+        spots = st.integers(0, min(len(blob), 1024) - 1) | st.integers(0, len(blob) - 1)
+        for at, byte in data.draw(st.lists(st.tuples(spots, PICKS), min_size=1, max_size=6),
+                                  label="edits"):
+            blob[at] = byte
+    work = artifacts / "work"
+    for part in ("c.vclip", "c.vclip.json"):
+        (work / part).write_bytes((artifacts / part).read_bytes())
+    (work / name).write_bytes(bytes(blob))
+    try:
+        LOADERS[name](work / name.removesuffix(".json"))
+    except FormatError:
+        pass
