@@ -51,12 +51,13 @@ class AdapterLayer:
         """(out_features, in_features) of the affine layer this adapts."""
         return self.v_cor.shape[0], self.v_det.shape[0]
 
-    def correct(self, x2: Tensor, y: Tensor, alpha: float) -> Tensor:
-        """y + alpha * beta * v_cor (v_det^T x) for the input rows x2: the one
+    def correct(self, x: Tensor, y: Tensor, alpha: float) -> Tensor:
+        """y + alpha * beta * v_cor (v_det^T x) for the layer input x, shape
+        (clips, ..., n), and base output y, shape (clips, ..., m): the one
         implementation of the correction term, run by AdapterStack.apply for
         every adapted layer of the model's forward pass."""
-        detect = T.matmul(x2, self.v_det)                  # (rows, d)
-        correct = T.matmul(detect, T.transpose(self.v_cor))  # (rows, m)
+        detect = T.linear(x, T.transpose(self.v_det))   # (clips, ..., d)
+        correct = T.linear(detect, self.v_cor)          # (clips, ..., m)
         return T.add(y, T.mul(correct, T.mul(self.beta, alpha)))
 
 
@@ -187,11 +188,14 @@ class AdapterStack:
                 "model architecture differs outside the adapted layers "
                 f"(fingerprint {fp[:12]}... vs {adapter.fingerprint[:12]}...)")
 
-    def apply(self, name: str, x2: Tensor, y: Tensor) -> Tensor:
+    def apply(self, name: str, x: Tensor, y: Tensor) -> Tensor:
+        """Add every nonzero-intensity entry's correction for layer `name`, in
+        digest order, to its base output y given its input x; both keep the
+        (clips, ..., features) shape of `T.linear`."""
         for adapter, alpha in self.entries:
             layer = adapter.layers.get(name)
             if alpha != 0.0 and layer is not None:
-                y = layer.correct(x2, y, alpha)
+                y = layer.correct(x, y, alpha)
         return y
 
 

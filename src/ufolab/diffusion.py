@@ -124,14 +124,17 @@ def sample(model: DiffusionModel, cond, seeds, stack=None,
            steps: int = DEFAULT_SAMPLE_STEPS) -> np.ndarray:
     """Generate one video per (condition, seed) pair; returns (B, F, H, W, C) in [0, 1].
 
-    `steps` may not exceed the model's timesteps (ContractError).  A state
-    that turns NaN or infinite raises NumericError naming the step.
+    Seeds must be integers >= 0 and `steps` may not exceed the model's
+    timesteps (ContractError).  A state that turns NaN or infinite raises
+    NumericError naming the step.
     """
     cfg = model.config
     cond = np.atleast_1d(np.asarray(cond))
     seeds = np.atleast_1d(np.asarray(seeds))
     if cond.shape != seeds.shape or cond.ndim != 1:
         raise ContractError(f"cond {cond.shape} and seeds {seeds.shape} must be equal-length 1-D")
+    if not np.issubdtype(seeds.dtype, np.integer) or (seeds < 0).any():
+        raise ContractError(f"seeds must be integers >= 0, got {seeds.tolist()}")
     batch = cond.shape[0]
     dt = cfg.np_dtype
     shape = (cfg.frames, cfg.height, cfg.width, cfg.channels)

@@ -173,32 +173,34 @@ def build_model(cfg: ModelConfig, seed: int = 0) -> DiffusionModel:
 # ---------------------------------------------------------------------------
 
 def _linear(x: Tensor, name: str, params, stack=None) -> Tensor:
-    """Affine layer y = x W^T + b on the trailing axis, with adapter hook."""
-    w, b = params[name + ".w"], params[name + ".b"]
-    lead = x.shape[:-1]
-    x2 = T.reshape(x, (-1, x.shape[-1]))
-    y = T.add(T.matmul(x2, T.transpose(w)), b)
+    """Affine layer y = x W^T + b on the last axis of x, shape (clips, ..., n).
+
+    One `T.linear` node per layer, one GEMM per clip, so no clip's output
+    depends on the others in its batch; `stack` adds its correction terms on
+    the same (clips, ..., n) input.
+    """
+    y = T.linear(x, params[name + ".w"], params[name + ".b"])
     if stack is not None:
-        y = stack.apply(name, x2, y)
-    return T.reshape(y, lead + (y.shape[-1],))
+        y = stack.apply(name, x, y)
+    return y
 
 
 def _attention(h: Tensor, prefix: str, params, stack, heads: int) -> Tensor:
-    """Self-attention over the middle axis of (groups, length, dim)."""
-    g, length, dim = h.shape
+    """Self-attention over the length axis of (clips, groups, length, dim)."""
+    b, g, length, dim = h.shape
     hd = dim // heads
     scale = 1.0 / math.sqrt(hd)
 
-    def split(x):  # (g, L, dim) -> (g, heads, L, hd)
-        return T.transpose(T.reshape(x, (g, length, heads, hd)), (0, 2, 1, 3))
+    def split(x):  # (b, g, L, dim) -> (b, g, heads, L, hd)
+        return T.transpose(T.reshape(x, (b, g, length, heads, hd)), (0, 1, 3, 2, 4))
 
     q = split(_linear(h, prefix + ".q", params, stack))
     k = split(_linear(h, prefix + ".k", params, stack))
     v = split(_linear(h, prefix + ".v", params, stack))
-    scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), scale)
+    scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 2, 4, 3))), scale)
     att = T.softmax(scores)
-    out = T.matmul(att, v)  # (g, heads, L, hd)
-    out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (g, length, dim))
+    out = T.matmul(att, v)  # (b, g, heads, L, hd)
+    out = T.reshape(T.transpose(out, (0, 1, 3, 2, 4)), (b, g, length, dim))
     return _linear(out, prefix + ".proj", params, stack)
 
 
@@ -252,21 +254,15 @@ def forward(model: DiffusionModel, z_t, t, cond, stack=None) -> tuple[Tensor, Te
     ctx = T.expand(T.reshape(ctx, (batch, 1, 1, cfg.dim)), x.shape)
     x = T.add(x, ctx)
 
-    f, s, dim = cfg.frames, cfg.sites, cfg.dim
     for bidx in range(cfg.blocks):
         pre = f"block{bidx}"
         # temporal attention: across frames at each spatial site
         h = T.layernorm(x, p[f"{pre}.ln1.g"], p[f"{pre}.ln1.b"])
-        h = T.reshape(T.transpose(h, (0, 2, 1, 3)), (batch * s, f, dim))
-        h = _attention(h, f"{pre}.tattn", p, stack, cfg.heads)
-        h = T.transpose(T.reshape(h, (batch, s, f, dim)), (0, 2, 1, 3))
-        x = T.add(x, h)
+        h = _attention(T.transpose(h, (0, 2, 1, 3)), f"{pre}.tattn", p, stack, cfg.heads)
+        x = T.add(x, T.transpose(h, (0, 2, 1, 3)))
         # spatial attention: across sites within each frame
         h = T.layernorm(x, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"])
-        h = T.reshape(h, (batch * f, s, dim))
-        h = _attention(h, f"{pre}.sattn", p, stack, cfg.heads)
-        h = T.reshape(h, (batch, f, s, dim))
-        x = T.add(x, h)
+        x = T.add(x, _attention(h, f"{pre}.sattn", p, stack, cfg.heads))
         # position-wise MLP
         h = T.layernorm(x, p[f"{pre}.ln3.g"], p[f"{pre}.ln3.b"])
         h = _linear(T.gelu(_linear(h, f"{pre}.mlp.fc1", p, stack)), f"{pre}.mlp.fc2", p, stack)

@@ -34,6 +34,7 @@ __all__ = [
     "mul",
     "neg",
     "matmul",
+    "linear",
     "transpose",
     "reshape",
     "expand",
@@ -276,6 +277,42 @@ def matmul(a, b) -> Tensor:
         return g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
 
     return _record(out, (a, b), vjp)
+
+
+def linear(x, w, b=None) -> Tensor:
+    """Affine map ``x @ w^T (+ b)`` on the last axis of ``x``, shape (clips, ..., n).
+
+    ``w`` is (m, n) and ``b``, if given, is (m,).  The product runs as one GEMM
+    per clip over ``x`` viewed as (clips, rows, n), so a clip's output does
+    not depend on how many clips share the call; the vjp forms dW as one 2-D
+    GEMM over all rows.
+    """
+    x, w = _coerce(x), _coerce(w)
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[1]:
+        raise DimensionError(f"linear shapes {x.shape} and {w.shape} do not align")
+    inputs = (x, w)
+    if b is not None:
+        b = _coerce(b)
+        if b.shape != (w.shape[0],):
+            raise DimensionError(f"linear bias shape {b.shape} does not match weight {w.shape}")
+        inputs = (x, w, b)
+    n, m = w.shape[1], w.shape[0]
+    x3 = np.reshape(x.data, (x.shape[0], -1, n))
+    y = np.matmul(x3, w.data.T)
+    if b is not None:
+        y += b.data
+    out = Tensor(np.reshape(y, x.shape[:-1] + (m,)))
+
+    def vjp(g):
+        g3 = np.reshape(g, y.shape)
+        dx = np.reshape(np.matmul(g3, w.data), x.shape) if x.requires_grad else None
+        g2 = np.reshape(g3, (-1, m))
+        dw = g2.T @ np.reshape(x3, (-1, n)) if w.requires_grad else None
+        if b is None:
+            return dx, dw
+        return dx, dw, g2.sum(axis=0) if b.requires_grad else None
+
+    return _record(out, inputs, vjp)
 
 
 def transpose(a, axes=None) -> Tensor:

@@ -58,6 +58,8 @@ class TrainConfig:
             raise ContractError(f"alpha_train must lie in (0, 1], got {self.alpha_train}")
         if not 0 <= self.loss_lambda < math.inf:
             raise ContractError(f"loss_lambda must be finite and >= 0, got {self.loss_lambda}")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
 
 
 def lr_schedule(step: int, cfg: TrainConfig) -> float:
