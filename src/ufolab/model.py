@@ -173,12 +173,8 @@ def build_model(cfg: ModelConfig, seed: int = 0) -> DiffusionModel:
 # ---------------------------------------------------------------------------
 
 def _linear(x: Tensor, name: str, params, stack=None) -> Tensor:
-    """Affine layer y = x W^T + b on the last axis of x, shape (clips, ..., n).
-
-    One `T.linear` node per layer, one GEMM per clip, so no clip's output
-    depends on the others in its batch; `stack` adds its correction terms on
-    the same (clips, ..., n) input.
-    """
+    """Affine layer y = x W^T + b on the last axis of x, shape (clips, ..., n):
+    one `T.linear` node, with `stack`'s corrections added on the same input."""
     y = T.linear(x, params[name + ".w"], params[name + ".b"])
     if stack is not None:
         y = stack.apply(name, x, y)

@@ -296,7 +296,7 @@ def linear(x, w, b=None) -> Tensor:
         if b.shape != (w.shape[0],):
             raise DimensionError(f"linear bias shape {b.shape} does not match weight {w.shape}")
         inputs = (x, w, b)
-    n, m = w.shape[1], w.shape[0]
+    m, n = w.shape
     x3 = np.reshape(x.data, (x.shape[0], -1, n))
     y = np.matmul(x3, w.data.T)
     if b is not None:
@@ -304,13 +304,11 @@ def linear(x, w, b=None) -> Tensor:
     out = Tensor(np.reshape(y, x.shape[:-1] + (m,)))
 
     def vjp(g):
-        g3 = np.reshape(g, y.shape)
-        dx = np.reshape(np.matmul(g3, w.data), x.shape) if x.requires_grad else None
-        g2 = np.reshape(g3, (-1, m))
+        g2 = np.reshape(g, (-1, m))
+        dx = np.reshape(np.reshape(g, y.shape) @ w.data, x.shape) if x.requires_grad else None
         dw = g2.T @ np.reshape(x3, (-1, n)) if w.requires_grad else None
-        if b is None:
-            return dx, dw
-        return dx, dw, g2.sum(axis=0) if b.requires_grad else None
+        db = g2.sum(axis=0) if b is not None and b.requires_grad else None
+        return (dx, dw, db)[:len(inputs)]
 
     return _record(out, inputs, vjp)
 

@@ -151,7 +151,8 @@ def test_criterion_02_adapter_algebra(capsys):
         worst_delta = max(worst_delta, delta_identity_check(
             x_t, x_tn, w, (v_det, v_cor, beta), float(a + b)))
 
-        # the model's path: _linear hands x and x W^T + b to AdapterStack.apply
+        # the model's path: _linear hands its (clips, ..., n) input x and
+        # x W^T + b to AdapterStack.apply; here one clip of one row
         x2 = Tensor(x_t.reshape(1, n))
         base_y = Tensor(x_t.reshape(1, n) @ w.T + bias)
         adapter = one_layer_adapter(v_det, v_cor, beta)

@@ -37,9 +37,10 @@ def random_adapter(model, seed, rank=2, scale=0.1):
 
 
 def adapted(w, x, v_det, v_cor, beta, alpha, bias=None) -> np.ndarray:
-    """The adapted affine map on input rows `x`, run through AdapterStack.apply:
+    """The adapted affine map on input `x`, run through AdapterStack.apply:
     the base term x W^T + b is computed here in float64, as the model's
-    `_linear` computes it before it hands the rows to the stack."""
+    `_linear` computes it before it hands the same (clips, ..., n) input to
+    the stack; 2-D rows are read as one-row clips."""
     y = x @ np.asarray(w).T + (0.0 if bias is None else bias)
     stack = AdapterStack([(one_layer_adapter(v_det, v_cor, beta), alpha)])
     return stack.apply("L", Tensor(x), Tensor(y)).numpy()

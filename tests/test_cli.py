@@ -138,6 +138,14 @@ def test_non_finite_loss_lambda_exits_2_and_writes_nothing(tmp_path, capsys):
     assert not any(p.is_file() for p in tmp_path.rglob("*") if p != cfg)
 
 
+def test_negative_train_seed_exits_2_and_writes_nothing(tmp_path, capsys):
+    ck, rp = tmp_path / "ck", tmp_path / "rp"
+    cfg = write_config(tmp_path / "exp.ini", ck, rp, seed=-1)
+    assert main(["train-base", str(cfg)]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not any(p.is_file() for p in tmp_path.rglob("*") if p != cfg)
+
+
 def test_train_base_outputs_and_loss_rows(workspace):
     assert workspace.base.exists()
     rows = read_rows(workspace.rp / "train-base-seed5.csv")
@@ -242,6 +250,16 @@ def test_generate_steps_above_timesteps_exits_2(tmp_path, workspace, command):
                       "--out", str(tmp_path / "s")]}[command]
     assert main([command, "--base", str(workspace.base), "--steps", "9",  # model has T = 8
                  *args]) == 2
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+def test_negative_sample_seed_exits_2(tmp_path, workspace, capsys, command):
+    args = {"generate": ["--condition", "0", "--seed", "-1", "--out", str(tmp_path / "x.vclip")],
+            "sweep": ["--ufo", str(workspace.ufo), "--alphas", "0.1", "--seeds", "-3", "4",
+                      "--out", str(tmp_path / "s")]}[command]
+    assert main([command, "--base", str(workspace.base), *args]) == 2
+    assert "seeds must be integers >= 0" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

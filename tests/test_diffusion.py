@@ -192,6 +192,23 @@ def test_sampler_videos_do_not_depend_on_batch_composition():
     assert np.array_equal(ab[1], ba[0])
     assert np.array_equal(ab[0], solo[0])
 
+    # at the default size a batch of 16 runs the heads' GEMMs over 8192 rows,
+    # where a flattened batch makes BLAS switch kernels; seeded heads (a fresh
+    # model's are zero) and a live rank-4 stack make any switch show
+    model = build_model(ModelConfig(), seed=2)
+    rng = np.random.default_rng(5)
+    for p in ("head_eps.w", "head_sigma.w"):
+        model.params[p].data[...] = rng.normal(size=model.params[p].shape) * 0.2
+    adapter = init_adapter(model, rank=4, seed=6)
+    for layer in adapter.layers.values():
+        layer.v_cor.data[...] = rng.normal(size=layer.v_cor.shape) * 0.2
+    conds, seeds = np.arange(16) % 36, np.arange(16) + 100
+    for stack in (None, compose(model, [(adapter, 1.0)])):
+        full = sample(model, conds, seeds, stack=stack, steps=2)
+        for b in (1, 3):
+            assert np.array_equal(sample(model, conds[:b], seeds[:b], stack=stack, steps=2),
+                                  full[:b]), (b, stack is not None)
+
 
 def test_sampler_zero_intensity_stack_matches_base_bits():
     model = build_model(TINY, seed=4)
@@ -214,6 +231,9 @@ def test_sampler_seed_contract():
     model = build_model(TINY, seed=0)
     with pytest.raises(ContractError):
         sample(model, cond=[1, 2], seeds=[3], steps=2)
+    for bad in ([-1], [2.7], [True]):
+        with pytest.raises(ContractError, match="seeds"):
+            sample(model, cond=[1], seeds=bad, steps=2)
 
 
 def test_sampler_rejects_more_steps_than_timesteps():

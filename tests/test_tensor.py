@@ -120,6 +120,25 @@ def test_matmul_shape_errors_name_both_shapes():
     assert "(2, 3)" in str(err.value) and "(4, 5)" in str(err.value)
     with pytest.raises(DimensionError):
         T.matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 3, 4))))
+    with pytest.raises(DimensionError) as err:
+        T.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
+    assert "(2, 3)" in str(err.value) and "(4, 5)" in str(err.value)
+    with pytest.raises(DimensionError) as err:
+        T.linear(Tensor(np.ones((2, 5))), Tensor(np.ones((4, 5))), Tensor(np.ones(3)))
+    assert "(3,)" in str(err.value) and "(4, 5)" in str(err.value)
+
+
+def test_linear_clips_match_each_clip_alone_bit_for_bit():
+    # one GEMM per clip: a clip's rows never depend on how many clips share the call
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(16, 512, 64)).astype(np.float32)
+    w = rng.normal(size=(4, 64)).astype(np.float32)
+    b = rng.normal(size=4).astype(np.float32)
+    for bias in (None, Tensor(b)):
+        full = T.linear(Tensor(x), Tensor(w), bias).data
+        assert full.shape == (16, 512, 4)
+        for i in range(16):
+            assert np.array_equal(T.linear(Tensor(x[i:i + 1]), Tensor(w), bias).data[0], full[i])
 
 
 def test_reshape_and_transpose_validation():
@@ -260,6 +279,8 @@ def test_add_is_associative_to_float_tolerance():
 def test_finite_diff_each_primitive():
     rng = np.random.default_rng(42)
     w = rng.normal(size=(4, 3))
+    lin = np.random.default_rng(7)  # linear's fixed operands; leaves `rng`'s draws as they were
+    xl, wl, w12 = lin.normal(size=(2, 5, 4)), lin.normal(size=(5, 2)), lin.normal(size=(12, 4))
     cases = [
         lambda x: T.tsum(T.square(x)),
         lambda x: T.tmean(T.mul(x, x), axis=0),
@@ -271,6 +292,10 @@ def test_finite_diff_each_primitive():
         lambda x: T.tsum(T.square(T.reshape(x, (12,)))),
         lambda x: T.tsum(T.square(T.expand(T.reshape(x, (3, 1, 4)), (3, 5, 4)))),
         lambda x: T.layernorm(x, Tensor(np.ones(4)), Tensor(np.zeros(4))),
+        # linear, with x as input (no bias), as weight and as bias
+        lambda x: T.tsum(T.square(T.linear(T.reshape(x, (2, 3, 2)), Tensor(wl)))),
+        lambda x: T.tsum(T.square(T.linear(Tensor(xl), x, Tensor(w[0])))),
+        lambda x: T.tsum(T.square(T.linear(Tensor(xl), Tensor(w12), T.reshape(x, (12,))))),
     ]
     for i, f in enumerate(cases):
         x = rng.normal(size=(3, 4))
