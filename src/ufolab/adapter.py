@@ -71,6 +71,11 @@ KINDS = ("consistency", "stylization")
 RECOMMENDED_ALPHA = {"consistency": 0.1, "stylization": 1.0}
 
 
+def _in_unit_interval(value) -> bool:
+    """Whether `value` is an int or float in [0, 1]; a bool is not a number here."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and 0.0 <= value <= 1.0
+
+
 @dataclass
 class UfoAdapter:
     rank: int
@@ -83,9 +88,10 @@ class UfoAdapter:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ContractError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not (0.0 <= self.recommended_alpha <= 1.0):
+        if not _in_unit_interval(self.recommended_alpha):
             raise ContractError(
-                f"recommended_alpha must lie in [0, 1], got {self.recommended_alpha}")
+                f"recommended_alpha must lie in [0, 1], got {self.recommended_alpha!r}")
+        self.recommended_alpha = float(self.recommended_alpha)
 
     def parameter_count(self) -> int:
         # d * (m + n) + 1 per adapted layer
@@ -133,8 +139,7 @@ def init_adapter(model: DiffusionModel, rank: int = 4, targets=None, seed: int =
         layers[name] = AdapterLayer(**{
             part: Tensor(init[part](shape).astype(model.config.np_dtype), requires_grad=True)
             for part, shape in layer_spec(*layer_shapes[name], rank)})
-    return UfoAdapter(rank, fingerprint(model), layers, kind,
-                      float(recommended_alpha), dict(meta or {}))
+    return UfoAdapter(rank, fingerprint(model), layers, kind, recommended_alpha, dict(meta or {}))
 
 
 def adapter_digest(adapter: UfoAdapter) -> str:
@@ -243,7 +248,7 @@ def load_adapter(path) -> UfoAdapter:
     if kind not in KINDS:
         raise FormatError(f"adapter kind must be one of {KINDS}, got {kind!r}")
     rec_alpha = header["recommended_alpha"]
-    if not isinstance(rec_alpha, (int, float)) or not 0.0 <= rec_alpha <= 1.0:
+    if not _in_unit_interval(rec_alpha):
         raise FormatError(f"recommended_alpha must lie in [0, 1], got {rec_alpha!r}")
     names = header["layer_names"]
     shapes = header["layer_shapes"]
@@ -263,5 +268,5 @@ def load_adapter(path) -> UfoAdapter:
                                                 for part, _ in spec}))
                          for name, spec in specs)
     meta = header.get("meta", {})
-    return UfoAdapter(rank, header["fingerprint"], layers, kind, float(rec_alpha),
+    return UfoAdapter(rank, header["fingerprint"], layers, kind, rec_alpha,
                       meta if isinstance(meta, dict) else {})

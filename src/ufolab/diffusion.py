@@ -100,7 +100,7 @@ def training_losses(model: DiffusionModel, z0: np.ndarray, t: np.ndarray,
 
 def respace_timesteps(total: int, steps: int) -> np.ndarray:
     """`steps` strictly increasing timesteps in [1, total], always ending at total."""
-    if not isinstance(steps, int) or steps < 1:
+    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
         raise ContractError(f"steps must be a positive integer, got {steps!r}")
     if steps >= total:
         return np.arange(1, total + 1)

@@ -14,6 +14,8 @@ files can prove they were trained against a structurally identical model.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import math
 from collections import OrderedDict
@@ -172,6 +174,24 @@ def build_model(cfg: ModelConfig, seed: int = 0) -> DiffusionModel:
 # forward pass
 # ---------------------------------------------------------------------------
 
+# glibc mallopt parameters: arrays below 32 MiB come from the heap, and up to
+# 512 MiB of freed heap stays mapped, so each forward/backward reuses the
+# pages of the last one instead of faulting fresh ones in
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_SETTINGS = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 512 << 20))
+
+
+@functools.cache
+def _keep_freed_heap_pages() -> None:
+    """Apply `_HEAP_SETTINGS` once per process; a no-op where libc has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    for param, value in _HEAP_SETTINGS:
+        mallopt(param, value)
+
+
 def _linear(x: Tensor, name: str, params, stack=None) -> Tensor:
     """Affine layer y = x W^T + b on the last axis of x, shape (clips, ..., n):
     one `T.linear` node, with `stack`'s corrections added on the same input."""
@@ -242,6 +262,7 @@ def forward(model: DiffusionModel, z_t, t, cond, stack=None) -> tuple[Tensor, Te
         raise ContractError(f"condition ids must lie in [0, {cfg.cond_vocab})")
     if stack is not None:
         stack.check_model(model)
+    _keep_freed_heap_pages()
 
     z = z_t if isinstance(z_t, Tensor) else Tensor(z_arr.astype(cfg.np_dtype, copy=False))
     x = _linear(_patchify(z, cfg), "patch_embed", p)          # (B, F, S, dim)

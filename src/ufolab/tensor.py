@@ -10,6 +10,17 @@ only compute values, so inference and a stray forward pass keep no graph.
 Broadcasting is deliberately restricted: elementwise ops accept equal shapes
 or a trailing-suffix match, and anything richer must go through the explicit
 ``expand`` primitive.  There is no silent type or shape promotion anywhere.
+
+``gelu``, ``softmax`` and ``layernorm`` run forward and vjp in place, through
+``out=`` buffers they allocate themselves; they never write into an input's
+``data`` or into the incoming gradient, which ``add`` hands to both of its
+inputs.  Their operation order is a contract: each applies the IEEE
+operations of its plain formula (kept in the test oracles) to the same
+operands in the same order, up to swapping the operands of one ``*`` or
+``+``, and lays its results out in memory as that formula does, so trained
+bytes never depend on the rewrite.  The vjp of an op with several inputs
+returns None for an input that needs no gradient, instead of a partial that
+``backward`` would drop.
 """
 
 from __future__ import annotations
@@ -237,7 +248,8 @@ def add(a, b) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def vjp(g):
-        return _reduce_to(g, a.shape), _reduce_to(g, b.shape)
+        return (_reduce_to(g, a.shape) if a.requires_grad else None,
+                _reduce_to(g, b.shape) if b.requires_grad else None)
 
     return _record(out, (a, b), vjp)
 
@@ -259,7 +271,8 @@ def mul(a, b) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def vjp(g):
-        return _reduce_to(g * b.data, a.shape), _reduce_to(g * a.data, b.shape)
+        return (_reduce_to(g * b.data, a.shape) if a.requires_grad else None,
+                _reduce_to(g * a.data, b.shape) if b.requires_grad else None)
 
     return _record(out, (a, b), vjp)
 
@@ -274,7 +287,8 @@ def matmul(a, b) -> Tensor:
     out = Tensor(a.data @ b.data)
 
     def vjp(g):
-        return g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
+        return (g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None,
+                np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None)
 
     return _record(out, (a, b), vjp)
 
@@ -387,7 +401,7 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     def vjp(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy() / count,)
+        return (np.divide(np.broadcast_to(g, a.shape), count),)
 
     return _record(out, (a,), vjp)
 
@@ -413,14 +427,30 @@ def gelu(a) -> Tensor:
     """Gaussian error linear unit (tanh approximation)."""
     a = _coerce(a)
     x = a.data
-    x2 = x * x
-    u = _GELU_C * (x + _GELU_A * (x2 * x))
-    t = np.tanh(u)
-    out = Tensor(0.5 * x * (1.0 + t))
+    x2 = np.multiply(x, x)
+    t = np.multiply(x2, x)
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)                      # t = tanh(C * (x + A * x^3))
+    y = np.multiply(x, 0.5)
+    y *= np.add(t, 1.0)                    # y = 0.5 * x * (1 + t)
+    out = Tensor(y)
 
     def vjp(g):
-        du = _GELU_C * (1.0 + (3.0 * _GELU_A) * x2)
-        return (g * (0.5 * (1.0 + t) + (0.5 * x) * ((1.0 - t * t) * du)),)
+        du = np.multiply(x2, 3.0 * _GELU_A)
+        du += 1.0
+        du *= _GELU_C                      # du = C * (1 + 3A * x^2)
+        s = np.multiply(t, t)
+        np.subtract(1.0, s, out=s)
+        s *= du
+        np.multiply(x, 0.5, out=du)
+        s *= du                            # s = 0.5 * x * ((1 - t^2) * du)
+        np.add(t, 1.0, out=du)
+        du *= 0.5
+        du += s
+        du *= g                            # g * (0.5 * (1 + t) + s)
+        return (du,)
 
     return _record(out, (a,), vjp)
 
@@ -428,14 +458,17 @@ def gelu(a) -> Tensor:
 def softmax(a) -> Tensor:
     """Softmax over the last axis."""
     a = _coerce(a)
-    z = a.data - np.max(a.data, axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / np.sum(e, axis=-1, keepdims=True)
+    y = np.subtract(a.data, np.max(a.data, axis=-1, keepdims=True))
+    np.exp(y, out=y)
+    y /= np.sum(y, axis=-1, keepdims=True)
     out = Tensor(y)
 
     def vjp(g):
-        dot = np.sum(g * y, axis=-1, keepdims=True)
-        return (y * (g - dot),)
+        d = np.multiply(g, y)
+        dot = np.sum(d, axis=-1, keepdims=True)
+        np.subtract(g, dot, out=d)
+        d *= y                             # y * (g - sum(g * y))
+        return (d,)
 
     return _record(out, (a,), vjp)
 
@@ -447,21 +480,29 @@ def layernorm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
     if gamma.shape != (n,) or beta.shape != (n,):
         raise DimensionError(
             f"layernorm affine shapes {gamma.shape}/{beta.shape} do not match feature width ({n},)")
-    mu = np.mean(a.data, axis=-1, keepdims=True)
-    xc = a.data - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = Tensor(xhat * gamma.data + beta.data)
+    xhat = np.subtract(a.data, np.mean(a.data, axis=-1, keepdims=True))
+    y = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(np.mean(y, axis=-1, keepdims=True) + eps)
+    xhat *= inv                            # xhat = (x - mu) / sqrt(var + eps)
+    np.multiply(xhat, gamma.data, out=y)
+    y += beta.data
+    out = Tensor(y)
 
     def vjp(g):
         lead = tuple(range(g.ndim - 1))
-        dgamma = np.sum(g * xhat, axis=lead)
-        dbeta = np.sum(g, axis=lead)
-        gg = g * gamma.data
-        dx = inv * (gg - np.mean(gg, axis=-1, keepdims=True)
-                    - xhat * np.mean(gg * xhat, axis=-1, keepdims=True))
-        return dx, dgamma, dbeta
+        dgamma = np.sum(np.multiply(g, xhat), axis=lead) if gamma.requires_grad else None
+        dbeta = np.sum(g, axis=lead) if beta.requires_grad else None
+        if not a.requires_grad:
+            return None, dgamma, dbeta
+        gg = np.multiply(g, gamma.data)
+        mean_gg = np.mean(gg, axis=-1, keepdims=True)
+        gx = np.multiply(gg, xhat)
+        mean_ggx = np.mean(gx, axis=-1, keepdims=True)
+        gg -= mean_gg
+        np.multiply(xhat, mean_ggx, out=gx)
+        np.subtract(gg, gx, out=gx)
+        gx *= inv                          # inv * (gg - mean(gg) - xhat * mean(gg * xhat))
+        return gx, dgamma, dbeta
 
     return _record(out, (a, gamma, beta), vjp)
 

@@ -6,7 +6,9 @@ difference decomposition of the adapted layer on the path the model runs,
 `AdapterStack.apply`; `one_layer_adapter` wraps float64 arrays as a
 one-layer adapter for that path.  `flow_oracle` is the per-block,
 per-candidate block-matching loop that the vectorised flow must reproduce
-bit for bit.  `poke_payload` damages a saved container the way the savers
+bit for bit.  `gelu_oracle`, `softmax_oracle` and `layernorm_oracle` are
+the plain-expression formulas, forward and vjp, that the in-place kernels
+of `ufolab.tensor` must reproduce bit for bit.  `poke_payload` damages a saved container the way the savers
 never would, for the loaders' tests.
 """
 
@@ -141,6 +143,46 @@ def flow_oracle(prev, nxt, radius: int = 3) -> tuple[np.ndarray, bool]:
             flow[by, bx] = best
             saturated = saturated or max(abs(best[0]), abs(best[1])) == radius
     return flow, saturated
+
+
+_GELU_C = 0.7978845608028654  # sqrt(2/pi)
+_GELU_A = 0.044715
+
+
+def gelu_oracle(x, g):
+    """(y, dx) of the tanh-approximated gelu at x for the output gradient g."""
+    x2 = x * x
+    u = _GELU_C * (x + _GELU_A * (x2 * x))
+    t = np.tanh(u)
+    y = 0.5 * x * (1.0 + t)
+    du = _GELU_C * (1.0 + (3.0 * _GELU_A) * x2)
+    return y, g * (0.5 * (1.0 + t) + (0.5 * x) * ((1.0 - t * t) * du))
+
+
+def softmax_oracle(x, g):
+    """(y, dx) of the softmax over the last axis of x for the output gradient g."""
+    z = x - np.max(x, axis=-1, keepdims=True)
+    e = np.exp(z)
+    y = e / np.sum(e, axis=-1, keepdims=True)
+    dot = np.sum(g * y, axis=-1, keepdims=True)
+    return y, y * (g - dot)
+
+
+def layernorm_oracle(x, gamma, beta, g, eps: float = 1e-5):
+    """(y, dx, dgamma, dbeta) of layer normalization over the last axis of x."""
+    mu = np.mean(x, axis=-1, keepdims=True)
+    xc = x - mu
+    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    y = xhat * gamma + beta
+    lead = tuple(range(g.ndim - 1))
+    dgamma = np.sum(g * xhat, axis=lead)
+    dbeta = np.sum(g, axis=lead)
+    gg = g * gamma
+    dx = inv * (gg - np.mean(gg, axis=-1, keepdims=True)
+                - xhat * np.mean(gg * xhat, axis=-1, keepdims=True))
+    return y, dx, dgamma, dbeta
 
 
 def poke_payload(path, index: int, value: float) -> None:

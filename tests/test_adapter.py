@@ -218,6 +218,11 @@ def test_adapter_kind_defaults_and_validation():
         init_adapter(model, rank=1, kind="sepia")
     with pytest.raises(ContractError):
         init_adapter(model, rank=1, recommended_alpha=1.5)
+    for bad in (True, "0.5"):  # a bool is not read as 1.0, nor a string as a number
+        with pytest.raises(ContractError, match="recommended_alpha"):
+            UfoAdapter(1, a.fingerprint, a.layers, recommended_alpha=bad)
+        with pytest.raises(ContractError, match="recommended_alpha"):
+            init_adapter(model, rank=1, recommended_alpha=bad)
 
 
 def test_adapter_round_trip_is_bit_exact(tmp_path):

@@ -321,6 +321,17 @@ def test_generate_foreign_adapter_exits_4(tmp_path, workspace):
                  "--out", str(tmp_path / "x.vclip")]) == 4
 
 
+def test_generate_adapter_with_a_boolean_alpha_exits_4(tmp_path, workspace, capsys):
+    adapter = load_adapter(workspace.ufo)
+    adapter.recommended_alpha = True  # saved as `"recommended_alpha": true`
+    save_adapter(adapter, tmp_path / "bool.ufoa")
+    assert main(["generate", "--base", str(workspace.base),
+                 "--ufo", str(tmp_path / "bool.ufoa"), "--alpha", "0.5",
+                 "--condition", "0", "--seed", "1", "--steps", "4",
+                 "--out", str(tmp_path / "x.vclip")]) == 4
+    assert "recommended_alpha" in capsys.readouterr().err
+
+
 def test_output_root_env_anchors_relative_paths(tmp_path, workspace, monkeypatch):
     monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
     assert main(["generate", "--base", str(workspace.base), "--condition", "0",

@@ -241,6 +241,9 @@ def test_sampler_rejects_more_steps_than_timesteps():
     assert sample(model, cond=[1], seeds=[3], steps=10).shape == (1, 2, 4, 4, 1)
     with pytest.raises(ContractError, match="exceeds"):
         sample(model, cond=[1], seeds=[3], steps=11)
+    for bad in (True, 2.0):  # a bool is no step count, nor is a float
+        with pytest.raises(ContractError, match="steps"):
+            sample(model, cond=[1], seeds=[3], steps=bad)
 
 
 def test_sampler_raises_numeric_error_on_non_finite_state():

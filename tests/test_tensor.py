@@ -14,7 +14,7 @@ from ufolab.errors import ContractError, DimensionError
 from ufolab.model import ModelConfig, build_model, forward
 from ufolab.tensor import Tensor, backward
 
-from oracles import finite_diff_check
+from oracles import finite_diff_check, gelu_oracle, layernorm_oracle, softmax_oracle
 
 
 def leaf(data):
@@ -74,6 +74,71 @@ def test_gelu_reference_points():
     assert y[0] == 0.0
     assert abs(y[1] - 10.0) < 1e-6
     assert abs(y[2]) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# in-place kernels: the same bits as the plain-expression oracles
+# ---------------------------------------------------------------------------
+
+def _taped(op, *tensors):
+    """Run `op` on a tape and return its output with its node's vjp closure."""
+    with T.recording() as tape:
+        out = op(*tensors)
+    return out, tape.nodes[-1].vjp
+
+
+def _kernel_case(shape, dtype, transposed_g):
+    """Input and output gradient of `shape`; a transposed g is a strided view,
+    as `transpose`'s vjp hands to the first layernorm of each block."""
+    rng = np.random.default_rng(11)
+    x = (3.0 * rng.standard_normal(shape)).astype(dtype)
+    if transposed_g:
+        swapped = (shape[0], shape[2], shape[1]) + shape[3:]
+        g = np.transpose(rng.standard_normal(swapped).astype(dtype), (0, 2, 1, 3))
+    else:
+        g = rng.standard_normal(shape).astype(dtype)
+    return x, g
+
+
+def _same_bits(got, want):
+    assert got.dtype == want.dtype and got.strides == want.strides
+    assert np.array_equal(got, want)
+
+
+KERNEL_CASES = [((8, 8, 64, 256), False), ((8, 8, 64, 256), True), ((2, 3, 4, 1), True)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape,transposed_g", KERNEL_CASES)
+def test_gelu_and_softmax_match_their_oracles_bit_for_bit(dtype, shape, transposed_g):
+    x, g = _kernel_case(shape, dtype, transposed_g)
+    x_before, g_before = x.copy(), g.copy()
+    for op, oracle in ((T.gelu, gelu_oracle), (T.softmax, softmax_oracle)):
+        out, vjp = _taped(op, Tensor(x, requires_grad=True))
+        (dx,) = vjp(g)
+        y_ref, dx_ref = oracle(x, g)
+        _same_bits(out.data, y_ref)
+        _same_bits(dx, dx_ref)
+        _same_bits(vjp(g)[0], dx_ref)  # the kept forward state is intact
+        assert np.array_equal(x, x_before) and np.array_equal(g, g_before)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape,transposed_g", KERNEL_CASES)
+def test_layernorm_matches_its_oracle_bit_for_bit(dtype, shape, transposed_g):
+    x, g = _kernel_case(shape, dtype, transposed_g)
+    rng = np.random.default_rng(12)
+    gamma = (1.0 + rng.standard_normal(shape[-1])).astype(dtype)
+    beta = rng.standard_normal(shape[-1]).astype(dtype)
+    before = [arr.copy() for arr in (x, g, gamma, beta)]
+    out, vjp = _taped(T.layernorm, *(Tensor(arr, requires_grad=True) for arr in (x, gamma, beta)))
+    y_ref, *grads_ref = layernorm_oracle(x, gamma, beta, g)
+    _same_bits(out.data, y_ref)
+    for _ in range(2):  # a second call sees the same kept forward state
+        for part, ref in zip(vjp(g), grads_ref):
+            _same_bits(part, ref)
+    for arr, orig in zip((x, g, gamma, beta), before):
+        assert np.array_equal(arr, orig)
 
 
 def test_take_rows_values_and_duplicate_grad():

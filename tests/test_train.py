@@ -1,6 +1,9 @@
 """Trainer tests: schedule values, freeze guard, determinism, loss plumbing."""
 
 import csv
+import itertools
+import platform
+import resource
 
 import numpy as np
 import pytest
@@ -163,6 +166,40 @@ def test_nan_loss_leaves_no_tape_behind():
             train_base(model, stream_for(tiny_cfg()), tiny_cfg())
         assert T.active_tape() is outer and len(outer) == 0
     assert len(T.active_tape()) == 0
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the kept heap pages come from glibc's mallopt thresholds")
+def test_warm_train_step_faults_in_almost_no_memory():
+    # a default-size batch-8 step frees and allocates ~100 MB of arrays; with
+    # the freed heap kept, the third step reuses the pages of the first two
+    model = build_model(ModelConfig(), seed=0)
+    batches = list(itertools.islice(clip_stream(8, seed=3, frames=8), 4))
+    faults = []
+
+    def counted():  # pulled at the start of each step
+        for batch in batches:
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+            yield batch
+
+    train_base(model, counted(), TrainConfig(steps=4, batch_size=8, warmup_steps=0))
+    assert faults[3] - faults[2] < 1000
+
+
+def test_vjps_skip_partials_of_inputs_without_gradient():
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    const = Tensor(np.full((2, 3), 2.0))
+    g = np.ones((2, 3))
+    for op in (T.add, T.mul):
+        for args, skipped in (((x, const), 1), ((const, x), 0)):
+            with T.recording() as tape:
+                op(*args)
+            parts = tape.nodes[-1].vjp(g)
+            assert parts[skipped] is None and parts[1 - skipped] is not None
+    with T.recording() as tape:
+        T.layernorm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)))
+    dx, dgamma, dbeta = tape.nodes[-1].vjp(g)
+    assert dx is not None and dgamma is None and dbeta is None
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,17 @@ def test_adapter_loader_refuses_malformed_registry(tmp_path, names, shapes, floa
         load_adapter(path)
 
 
+@pytest.mark.parametrize("alpha", [True, False, "0.1", None])
+def test_adapter_loader_refuses_a_recommended_alpha_that_is_no_number(tmp_path, alpha):
+    # true loaded as 1.0 before; a well-formed registry, so only the alpha is wrong
+    header = {"kind": "consistency", "recommended_alpha": alpha, "rank": 1,
+              "fingerprint": "x", "layer_names": ["L"], "layer_shapes": [[2, 4]]}
+    path = tmp_path / "a.ufoa"
+    write_container(path, ADAPTER_MAGIC, header, [np.zeros(7)])
+    with pytest.raises(FormatError, match="recommended_alpha"):
+        load_adapter(path)
+
+
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
     """A small saved model, adapter and clip, plus a directory to damage copies in."""
