@@ -188,6 +188,7 @@ def _keep_freed_heap_pages() -> None:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
         return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     for param, value in _HEAP_SETTINGS:
         mallopt(param, value)
 
