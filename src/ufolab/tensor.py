@@ -17,10 +17,11 @@ or a trailing-suffix match, and anything richer must go through the explicit
 inputs.  Their operation order is a contract: each applies the IEEE
 operations of its plain formula (kept in the test oracles) to the same
 operands in the same order, up to swapping the operands of one ``*`` or
-``+``, and lays its results out in memory as that formula does, so trained
-bytes never depend on the rewrite.  The vjp of an op with several inputs
-returns None for an input that needs no gradient, instead of a partial that
-``backward`` would drop.
+``+``.  For the contiguous inputs the model feeds them, with a contiguous
+or transposed gradient, results also keep the formula's memory layout,
+which later reductions sum in; so trained bytes never depend on the rewrite.
+The vjp of an op with several inputs returns None for an input that needs
+no gradient, instead of a partial that ``backward`` would drop.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ one-layer adapter for that path.  `flow_oracle` is the per-block,
 per-candidate block-matching loop that the vectorised flow must reproduce
 bit for bit.  `gelu_oracle`, `softmax_oracle` and `layernorm_oracle` are
 the plain-expression formulas, forward and vjp, that the in-place kernels
-of `ufolab.tensor` must reproduce bit for bit.  `poke_payload` damages a saved container the way the savers
-never would, for the loaders' tests.
+of `ufolab.tensor` must reproduce bit for bit.  `poke_payload` damages a
+saved container the way the savers never would, for the loaders' tests.
 """
 
 import hashlib
