@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, FingerprintError, FormatError
+from .errors import ContractError, FingerprintError, FormatError, check_field_types, is_number
 from .fileio import read_container, unpack_arrays, write_container
 from .model import DiffusionModel, adaptable_layers, fingerprint
 from .tensor import Tensor
@@ -71,11 +71,6 @@ KINDS = ("consistency", "stylization")
 RECOMMENDED_ALPHA = {"consistency": 0.1, "stylization": 1.0}
 
 
-def _in_unit_interval(value) -> bool:
-    """Whether `value` is an int or float in [0, 1]; a bool is not a number here."""
-    return not isinstance(value, bool) and isinstance(value, (int, float)) and 0.0 <= value <= 1.0
-
-
 @dataclass
 class UfoAdapter:
     rank: int
@@ -86,9 +81,12 @@ class UfoAdapter:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        check_field_types(self)
+        if self.rank < 1:
+            raise ContractError(f"rank must be a positive integer, got {self.rank}")
         if self.kind not in KINDS:
             raise ContractError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not _in_unit_interval(self.recommended_alpha):
+        if not 0.0 <= self.recommended_alpha <= 1.0:
             raise ContractError(
                 f"recommended_alpha must lie in [0, 1], got {self.recommended_alpha!r}")
         self.recommended_alpha = float(self.recommended_alpha)
@@ -109,21 +107,15 @@ class UfoAdapter:
 
 
 def init_adapter(model: DiffusionModel, rank: int = 4, targets=None, seed: int = 0,
-                 kind: str = "consistency", recommended_alpha: float | None = None,
-                 meta: dict | None = None) -> UfoAdapter:
+                 kind: str = "consistency") -> UfoAdapter:
     """Fresh adapter: detectors are random, correctors zero, betas one.
 
     Zero correctors make the fresh adapter an exact no-op at any intensity
     while still passing gradient to the detectors after the first update.
-    When `recommended_alpha` is None it defaults by kind (consistency 0.1,
-    stylization 1.0).
+    Its recommended_alpha follows the kind (consistency 0.1, stylization 1.0).
     """
-    if not isinstance(rank, int) or rank < 1:
-        raise ContractError(f"rank must be a positive integer, got {rank!r}")
-    if recommended_alpha is None:
-        if kind not in KINDS:
-            raise ContractError(f"kind must be one of {KINDS}, got {kind!r}")
-        recommended_alpha = RECOMMENDED_ALPHA[kind]
+    adapter = UfoAdapter(rank, fingerprint(model), OrderedDict(), kind)  # refuses rank and kind
+    adapter.recommended_alpha = RECOMMENDED_ALPHA[kind]
     layer_shapes = {name: (m, n) for name, m, n in adaptable_layers(model)}
     targets = list(targets) if targets is not None else default_targets(model)
     if not targets:
@@ -134,12 +126,11 @@ def init_adapter(model: DiffusionModel, rank: int = 4, targets=None, seed: int =
     rng = np.random.default_rng(seed)
     init = {"v_det": lambda shape: rng.normal(size=shape) / np.sqrt(shape[0]),
             "v_cor": np.zeros, "beta": np.ones}
-    layers: "OrderedDict[str, AdapterLayer]" = OrderedDict()
     for name in sorted(targets, key=lambda t: list(layer_shapes).index(t)):
-        layers[name] = AdapterLayer(**{
+        adapter.layers[name] = AdapterLayer(**{
             part: Tensor(init[part](shape).astype(model.config.np_dtype), requires_grad=True)
             for part, shape in layer_spec(*layer_shapes[name], rank)})
-    return UfoAdapter(rank, fingerprint(model), layers, kind, recommended_alpha, dict(meta or {}))
+    return adapter
 
 
 def adapter_digest(adapter: UfoAdapter) -> str:
@@ -165,10 +156,9 @@ class AdapterStack:
         for adapter, alpha in entries:
             if not isinstance(adapter, UfoAdapter):
                 raise ContractError("stack entries must be (UfoAdapter, alpha) pairs")
-            alpha = float(alpha)
-            if not (0.0 <= alpha <= 1.0):
-                raise ContractError(f"intensity must lie in [0, 1], got {alpha}")
-            cleaned.append((adapter, alpha))
+            if not (is_number(alpha) and 0.0 <= alpha <= 1.0):
+                raise ContractError(f"intensity must be a number in [0, 1], got {alpha!r}")
+            cleaned.append((adapter, float(alpha)))
         fps = {a.fingerprint for a, _ in cleaned}
         if len(fps) > 1:
             raise FingerprintError("stacked adapters were trained against different architectures")
@@ -241,15 +231,12 @@ def load_adapter(path) -> UfoAdapter:
                 "kind", "recommended_alpha"):
         if key not in header:
             raise FormatError(f"adapter header is missing '{key}'")
-    rank = header["rank"]
-    if type(rank) is not int or rank < 1:
-        raise FormatError(f"adapter rank must be a positive integer, got {rank!r}")
-    kind = header["kind"]
-    if kind not in KINDS:
-        raise FormatError(f"adapter kind must be one of {KINDS}, got {kind!r}")
-    rec_alpha = header["recommended_alpha"]
-    if not _in_unit_interval(rec_alpha):
-        raise FormatError(f"recommended_alpha must lie in [0, 1], got {rec_alpha!r}")
+    meta = header.get("meta", {})
+    try:
+        adapter = UfoAdapter(header["rank"], header["fingerprint"], OrderedDict(), header["kind"],
+                             header["recommended_alpha"], meta if isinstance(meta, dict) else {})
+    except ContractError as exc:
+        raise FormatError(f"bad adapter header: {exc}") from None
     names = header["layer_names"]
     shapes = header["layer_shapes"]
     if (not isinstance(names, list) or not isinstance(shapes, list)
@@ -259,14 +246,12 @@ def load_adapter(path) -> UfoAdapter:
         raise FormatError("adapter layer registry is malformed")
     for name, shape in zip(names, shapes):
         if (not isinstance(shape, list) or len(shape) != 2
-                or not all(type(s) is int and s > 0 for s in shape)):
+                or not all(is_number(s, int) and s > 0 for s in shape)):
             raise FormatError(f"bad layer shape {shape!r} for '{name}'")
-    specs = [(name, layer_spec(*shape, rank)) for name, shape in zip(names, shapes)]
+    specs = [(name, layer_spec(*shape, adapter.rank)) for name, shape in zip(names, shapes)]
     arrays = unpack_arrays(payload, at, [(f"{name}.{part}", shape)
                                          for name, spec in specs for part, shape in spec])
-    layers = OrderedDict((name, AdapterLayer(**{part: Tensor(arrays[f"{name}.{part}"])
-                                                for part, _ in spec}))
-                         for name, spec in specs)
-    meta = header.get("meta", {})
-    return UfoAdapter(rank, header["fingerprint"], layers, kind, rec_alpha,
-                      meta if isinstance(meta, dict) else {})
+    adapter.layers.update((name, AdapterLayer(**{part: Tensor(arrays[f"{name}.{part}"])
+                                                 for part, _ in spec}))
+                          for name, spec in specs)
+    return adapter

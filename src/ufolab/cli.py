@@ -11,8 +11,6 @@ byte-identical content.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 
 import numpy as np
@@ -28,7 +26,7 @@ from .errors import (
     FormatError,
     NumericError,
 )
-from .fileio import atomic_write_bytes
+from .fileio import write_csv
 from .metrics import evaluate_set, write_metrics_csv
 from .model import build_model, fingerprint, load_model, save_model
 from .synthdata import DEFAULT_CONDITIONS, STYLES, clip_stream
@@ -166,13 +164,7 @@ def cmd_sweep(args) -> int:
         summary.append((alpha, agg["flicker"], agg["sc"], agg["bc"], report.excluded))
         print(f"alpha={alpha:g} {report.summary_line()}")
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("alpha", "flicker", "sc", "bc", "ec"))
-    for alpha, fl, sc, bc, ec in summary:
-        writer.writerow((f"{alpha:.12g}", f"{fl:.12g}", f"{sc:.12g}",
-                         f"{bc:.12g}", ec))
-    atomic_write_bytes(outdir / "summary.csv", buf.getvalue().encode())
+    write_csv(outdir / "summary.csv", ("alpha", "flicker", "sc", "bc", "ec"), summary)
     print(f"summary: {outdir / 'summary.csv'}")
     return 0
 

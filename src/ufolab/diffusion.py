@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, NumericError
+from .errors import ContractError, NumericError, is_number
 from .model import DiffusionModel, forward
 from .schedule import Schedule, derive_schedule, diffuse
 from .tensor import Tensor
@@ -45,8 +45,6 @@ def training_losses(model: DiffusionModel, z0: np.ndarray, t: np.ndarray,
     dt = cfg.np_dtype
     z0 = np.asarray(z0, dtype=dt)
     eps = np.asarray(eps, dtype=dt)
-    if z0.shape != eps.shape:
-        raise ContractError(f"z0 shape {z0.shape} and eps shape {eps.shape} differ")
     t = np.asarray(t)
     z_t = diffuse(z0, t, eps, sched)
 
@@ -100,17 +98,15 @@ def training_losses(model: DiffusionModel, z0: np.ndarray, t: np.ndarray,
 
 def respace_timesteps(total: int, steps: int) -> np.ndarray:
     """`steps` strictly increasing timesteps in [1, total], always ending at total."""
-    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
+    if not is_number(steps, int) or steps < 1:
         raise ContractError(f"steps must be a positive integer, got {steps!r}")
     if steps >= total:
         return np.arange(1, total + 1)
     if steps == 1:
         return np.array([total])
-    ts = np.rint(np.linspace(1.0, float(total), steps)).astype(int)
-    for i in range(1, steps):  # repair any rounding collisions
-        if ts[i] <= ts[i - 1]:
-            ts[i] = ts[i - 1] + 1
-    return ts
+    # consecutive points lie (total - 1) / (steps - 1) > 1 apart, so rounding
+    # cannot make two of them collide
+    return np.rint(np.linspace(1.0, float(total), steps)).astype(int)
 
 
 def respace_schedule(sched: Schedule, ts: np.ndarray) -> Schedule:

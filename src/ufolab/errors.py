@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for numeric fields."""
+
+import dataclasses
 
 
 class UfolabError(Exception):
@@ -11,6 +13,23 @@ class DimensionError(UfolabError, ValueError):
 
 class ContractError(UfolabError, ValueError):
     """An API contract was violated (bad argument, non-scalar loss, ...)."""
+
+
+def is_number(value, kind: type = float) -> bool:
+    """Whether `value` may fill a field declared `kind`: an int field holds an
+    int, a float field an int or a float, and a bool is never a number."""
+    return isinstance(value, int if kind is int else (int, float)) and not isinstance(value, bool)
+
+
+def check_field_types(record) -> None:
+    """Raise ContractError naming the first int or float field of dataclass
+    `record` whose value breaks `is_number`; the rule reads the annotations."""
+    for f in dataclasses.fields(record):
+        kind = {"int": int, "float": float}.get(getattr(f.type, "__name__", f.type))
+        value = getattr(record, f.name)
+        if kind is not None and not is_number(value, kind):
+            raise ContractError(f"{f.name} must be {'an integer' if kind is int else 'a number'}, "
+                                f"got {value!r}")
 
 
 class FormatError(UfolabError, ValueError):

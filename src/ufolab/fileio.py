@@ -9,7 +9,9 @@ temp-file-plus-rename so readers never observe a partial file.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -40,6 +42,27 @@ def atomic_write_bytes(path, blob: bytes) -> None:
     finally:
         if tmp.exists():
             tmp.unlink(missing_ok=True)
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows as "\n"-terminated CSV, atomically.  A cell
+    that is None is empty, a bool is 1 or 0, a float has 12 significant
+    digits, and anything else is its str()."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_csv_cell(value) for value in row] for row in rows)
+    atomic_write_bytes(path, buf.getvalue().encode())
 
 
 def canonical_json(obj) -> bytes:

@@ -13,15 +13,13 @@ faster.  `evaluate_set` bundles everything into one CSV-serializable report.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError
-from .fileio import atomic_write_bytes
+from .fileio import write_csv
 from .video import Clip
 
 BLOCK = 4
@@ -269,27 +267,11 @@ def evaluate_set(videos, baselines=None, alpha: float | None = None) -> MetricsR
     return MetricsReport(rows=rows, aggregates=aggregates, excluded=ec)
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
-
-
 def write_metrics_csv(path, report: MetricsReport) -> None:
     """One row per video plus an `aggregate` footer row; atomic write."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in report.rows:
-        writer.writerow([_csv_cell(row[col]) for col in CSV_COLUMNS])
+    rows = [[row[col] for col in CSV_COLUMNS] for row in report.rows]
     if report.aggregates is not None:
         agg = report.aggregates
-        writer.writerow(["aggregate", "", "", "",
-                         _csv_cell(agg["flicker"]), _csv_cell(agg["sc"]),
-                         _csv_cell(agg["bc"]), _csv_cell(agg["oft"]),
-                         _csv_cell(report.excluded)])
-    atomic_write_bytes(path, buf.getvalue().encode())
+        rows.append(["aggregate", None, None, None, agg["flicker"], agg["sc"], agg["bc"],
+                     agg["oft"], report.excluded])
+    write_csv(path, CSV_COLUMNS, rows)

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, DimensionError, FormatError
+from .errors import ContractError, DimensionError, FormatError, check_field_types
 from .fileio import read_container, unpack_arrays, write_container
 from .schedule import SCHEDULE_KINDS, Schedule, make_schedule
 from .tensor import Tensor
@@ -51,11 +51,11 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("frames", "height", "width", "channels", "patch", "dim",
                      "heads", "mlp_dim", "blocks", "cond_vocab", "timesteps"):
-            v = getattr(self, name)
-            if type(v) is not int or v < 1:  # bool is an int subclass
-                raise ContractError(f"config field {name} must be a positive integer, got {v!r}")
+            if getattr(self, name) < 1:
+                raise ContractError(f"config field {name} must be >= 1, got {getattr(self, name)}")
         if self.height % self.patch or self.width % self.patch:
             raise ContractError(f"patch {self.patch} must divide height {self.height} and width {self.width}")
         if self.dim % self.heads:
@@ -66,7 +66,7 @@ class ModelConfig:
             raise ContractError(f"dtype must be float32 or float64, got {self.dtype!r}")
         if self.timesteps < 2:
             raise ContractError(f"timesteps must be >= 2, got {self.timesteps}")
-        if isinstance(self.fps, bool) or not 0 < self.fps < math.inf:
+        if not 0 < self.fps < math.inf:
             raise ContractError(f"fps must be finite and > 0, got {self.fps!r}")
 
     @property

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, is_number
 
 SCHEDULE_KINDS = ("cosine", "scaled_linear")
 _MAX_BETA = 0.999
@@ -37,9 +37,8 @@ def make_schedule(kind: str, steps: int) -> Schedule:
     """Build a schedule of `steps` diffusion steps of the given kind."""
     if kind not in SCHEDULE_KINDS:
         raise ContractError(f"unknown schedule kind {kind!r}; expected one of {SCHEDULE_KINDS}")
-    if not isinstance(steps, (int, np.integer)) or steps < 2:
+    if not is_number(steps, int) or steps < 2:
         raise ContractError(f"schedule needs at least 2 steps, got {steps!r}")
-    steps = int(steps)
 
     if kind == "cosine":
         # squared-cosine cumulative curve; betas from successive ratios

@@ -536,12 +536,13 @@ def backward(loss: Tensor, tape: Tape | None = None) -> None:
     """Accumulate d(loss)/d(tensor) into ``.grad`` for every leaf on the tape.
 
     A leaf is a tensor that no recorded op produced (parameters, inputs);
-    gradients for intermediates flow through but are not stored.  ``loss``
-    must be a scalar produced on the tape, which defaults to the active one:
-    call it inside the ``recording()`` that built the loss.  If the loss is
-    disconnected a RuntimeWarning is emitted and every leaf gradient is zero.
-    Gradients add into existing ``.grad`` buffers, so callers clear them
-    between steps.
+    gradients for intermediates flow through but are not stored: each is
+    freed during the pass, once the vjp of the node that produced it has run.
+    ``loss`` must be a scalar produced on the tape, which defaults to the
+    active one: call it inside the ``recording()`` that built the loss.  If
+    the loss is disconnected a RuntimeWarning is emitted and every leaf
+    gradient is zero.  Gradients add into existing ``.grad`` buffers, so
+    callers clear them between steps.
     """
     if not isinstance(loss, Tensor):
         raise ContractError("backward expects a Tensor loss")
@@ -556,7 +557,7 @@ def backward(loss: Tensor, tape: Tape | None = None) -> None:
                       RuntimeWarning, stacklevel=2)
 
     for node in reversed(tape.nodes):
-        g_out = flowing.get(id(node.output))
+        g_out = flowing.pop(id(node.output), None)
         if g_out is None:
             continue
         partials = node.vjp(g_out)

@@ -12,9 +12,7 @@ at the same intensity they were trained with.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import math
 from dataclasses import dataclass
 
@@ -23,8 +21,8 @@ import numpy as np
 from . import tensor as T
 from .adapter import AdapterStack, UfoAdapter, compose
 from .diffusion import training_losses
-from .errors import ContractError, NumericError
-from .fileio import atomic_write_bytes
+from .errors import ContractError, NumericError, check_field_types
+from .fileio import write_csv
 from .model import DiffusionModel
 
 ADAM_BETA1 = 0.9
@@ -44,6 +42,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         # steps = 0 is allowed so a no-op run leaves its target bit-exact
         if self.steps < 0:
             raise ContractError(f"steps must be >= 0, got {self.steps}")
@@ -119,13 +118,7 @@ class FreezeGuard:
 
 def write_loss_csv(path, rows) -> None:
     """One CSV row per training step: (step, loss_simple, loss_vlb, lr)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(LOG_COLUMNS)
-    for row in rows:
-        writer.writerow([row["step"], f"{row['loss_simple']:.12g}",
-                         f"{row['loss_vlb']:.12g}", f"{row['lr']:.12g}"])
-    atomic_write_bytes(path, buf.getvalue().encode())
+    write_csv(path, LOG_COLUMNS, ([row[col] for col in LOG_COLUMNS] for row in rows))
 
 
 def _run(model: DiffusionModel, trainable, data, cfg: TrainConfig,

@@ -11,15 +11,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, FormatError
+from .errors import ContractError, FormatError, check_field_types, is_number
 from .fileio import atomic_write_bytes, canonical_json
 
 SIDECAR_KEYS = ("frames", "height", "width", "channels", "fps")
-
-
-def _is_fps(fps) -> bool:
-    # a bool is an int to Python, but True frames per second is damage
-    return isinstance(fps, (int, float)) and not isinstance(fps, bool) and 0 < fps < math.inf
 
 
 @dataclass
@@ -31,6 +26,7 @@ class Clip:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        check_field_types(self)
         arr = np.ascontiguousarray(self.data, dtype=np.float32)
         if arr.ndim != 4:
             raise ContractError(f"clip data must be (frames, height, width, channels), got {arr.shape}")
@@ -38,7 +34,7 @@ class Clip:
             raise ContractError("clip data contains non-finite values")
         if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
             raise ContractError(f"clip values must lie in [0, 1], got [{arr.min()}, {arr.max()}]")
-        if not _is_fps(self.fps):
+        if not 0 < self.fps < math.inf:
             raise ContractError(f"fps must be a finite positive number, got {self.fps!r}")
         self.data = arr
         self.fps = float(self.fps)
@@ -78,11 +74,8 @@ def load_clip(path) -> Clip:
         if key not in sidecar:
             raise FormatError(f"sidecar is missing key '{key}'")
     dims = [sidecar[k] for k in ("frames", "height", "width", "channels")]
-    if not all(type(d) is int and d > 0 for d in dims):
+    if not all(is_number(d, int) and d > 0 for d in dims):
         raise FormatError(f"sidecar geometry must be positive integers, got {dims}")
-    fps = sidecar["fps"]
-    if not _is_fps(fps):
-        raise FormatError(f"sidecar fps must be a finite positive number, got {fps!r}")
 
     blob = path.read_bytes()
     expected = math.prod(dims) * 4
@@ -90,7 +83,8 @@ def load_clip(path) -> Clip:
         raise FormatError(f"payload holds {len(blob)} bytes, sidecar promises {expected}",
                           offset=min(len(blob), expected))
     arr = np.frombuffer(blob, dtype="<f4").reshape(dims).astype(np.float32, copy=True)
-    if not np.isfinite(arr).all() or arr.min() < 0.0 or arr.max() > 1.0:
-        raise FormatError("payload values fall outside [0, 1]", offset=0)
     meta = sidecar.get("meta", {})
-    return Clip(arr, fps=float(fps), meta=meta if isinstance(meta, dict) else {})
+    try:
+        return Clip(arr, fps=sidecar["fps"], meta=meta if isinstance(meta, dict) else {})
+    except ContractError as exc:
+        raise FormatError(f"bad clip: {exc}") from None

@@ -1,5 +1,7 @@
 """Adapter math, composition semantics, fingerprint gating, and UFOA I/O."""
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ from ufolab.adapter import (
 from ufolab.errors import ContractError, DimensionError, FingerprintError, FormatError, NumericError
 from ufolab.model import ModelConfig, adaptable_layers, build_model, forward, load_model, save_model
 from ufolab.tensor import Tensor
+from ufolab.train import TrainConfig
+from ufolab.video import Clip
 
 from oracles import delta_identity_check, one_layer_adapter, poke_payload
 
@@ -216,13 +220,50 @@ def test_adapter_kind_defaults_and_validation():
     assert b.kind == "stylization" and b.recommended_alpha == 1.0
     with pytest.raises(ContractError):
         init_adapter(model, rank=1, kind="sepia")
-    with pytest.raises(ContractError):
-        init_adapter(model, rank=1, recommended_alpha=1.5)
     for bad in (True, "0.5"):  # a bool is not read as 1.0, nor a string as a number
         with pytest.raises(ContractError, match="recommended_alpha"):
             UfoAdapter(1, a.fingerprint, a.layers, recommended_alpha=bad)
-        with pytest.raises(ContractError, match="recommended_alpha"):
-            init_adapter(model, rank=1, recommended_alpha=bad)
+
+
+def build_record(record, **fields):
+    """`record` built from its defaults, with UfoAdapter and Clip given the fields they lack."""
+    if record is UfoAdapter:
+        fields = {"rank": 1, "fingerprint": "fp", "layers": OrderedDict(), **fields}
+    elif record is Clip:
+        fields = {"data": np.zeros((1, 2, 2, 1), dtype=np.float32), **fields}
+    return record(**fields)
+
+
+NUMERIC_FIELDS = (
+    [(ModelConfig, name, int) for name in ("frames", "height", "width", "channels", "patch", "dim",
+                                           "heads", "mlp_dim", "blocks", "cond_vocab", "timesteps")]
+    + [(ModelConfig, "fps", float), (Clip, "fps", float)]
+    + [(TrainConfig, name, int) for name in ("steps", "batch_size", "warmup_steps", "seed")]
+    + [(TrainConfig, name, float) for name in ("lr_peak", "alpha_train", "loss_lambda")]
+    + [(UfoAdapter, "rank", int), (UfoAdapter, "recommended_alpha", float)])
+
+
+@pytest.mark.parametrize("record, name, kind", NUMERIC_FIELDS,
+                         ids=[f"{r.__name__}.{n}" for r, n, _ in NUMERIC_FIELDS])
+def test_numeric_fields_refuse_bools_strings_and_fractional_integers(record, name, kind):
+    build_record(record)  # the defaults construct
+    for bad in (True, "3") + ((2.5,) if kind is int else ()):
+        with pytest.raises(ContractError, match=name):
+            build_record(record, **{name: bad})
+
+
+def test_intensity_and_rank_follow_the_same_rule():
+    model = build_model(TINY, seed=0)
+    a = init_adapter(model, rank=1)
+    with pytest.raises(ContractError, match="rank"):
+        build_record(UfoAdapter, rank=0)
+    for bad in (True, "0.5", 1.5, float("nan")):
+        with pytest.raises(ContractError, match="intensity"):
+            AdapterStack([(a, bad)])
+    assert AdapterStack([(a, 1)]).entries[0][1] == 1.0  # an int intensity is a number
+    for bad in (True, 0, 2.5):
+        with pytest.raises(ContractError, match="rank"):
+            init_adapter(model, rank=bad)
 
 
 def test_adapter_round_trip_is_bit_exact(tmp_path):

@@ -145,8 +145,8 @@ def test_loss_shape_contract():
 # ---------------------------------------------------------------------------
 
 def test_respace_timesteps_properties():
-    for total, steps in [(100, 30), (100, 100), (100, 150), (10, 3), (100, 2),
-                         (100, 1), (1000, 30), (7, 7)]:
+    cases = [(total, steps) for total in range(1, 201) for steps in range(1, total + 2)]
+    for total, steps in cases + [(100, 150), (1000, 30)]:
         ts = respace_timesteps(total, steps)
         assert len(ts) == min(steps, total)
         assert np.all(np.diff(ts) > 0), (total, steps)

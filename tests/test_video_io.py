@@ -45,7 +45,7 @@ def test_clip_refuses_non_finite_or_boolean_fps(fps):
 
 @pytest.mark.parametrize("key, text, complaint", [
     ("fps", "Infinity", "fps"), ("fps", "NaN", "fps"), ("fps", "true", "fps"),
-    ("frames", "true", "geometry")])
+    ("fps", "0", "fps"), ("fps", '"8"', "fps"), ("frames", "true", "geometry")])
 def test_sidecar_refuses_non_finite_or_boolean_numbers(tmp_path, key, text, complaint):
     # one frame, so `"frames": true` would read as 1 and match the payload
     path = tmp_path / "c.vclip"
@@ -64,6 +64,7 @@ def test_clip_round_trip_is_bit_exact(tmp_path):
     save_clip(clip, p1)
     loaded = load_clip(p1)
     assert np.array_equal(loaded.data, clip.data)
+    assert loaded.data.flags.writeable  # a copy, not a view of the file's bytes
     assert loaded.fps == clip.fps and loaded.meta == clip.meta
     save_clip(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
@@ -223,7 +224,7 @@ def test_adapter_loader_refuses_malformed_registry(tmp_path, names, shapes, floa
         load_adapter(path)
 
 
-@pytest.mark.parametrize("alpha", [True, False, "0.1", None])
+@pytest.mark.parametrize("alpha", [True, False, "0.1", None, 1.5, -0.1])
 def test_adapter_loader_refuses_a_recommended_alpha_that_is_no_number(tmp_path, alpha):
     # true loaded as 1.0 before; a well-formed registry, so only the alpha is wrong
     header = {"kind": "consistency", "recommended_alpha": alpha, "rank": 1,
@@ -231,6 +232,18 @@ def test_adapter_loader_refuses_a_recommended_alpha_that_is_no_number(tmp_path, 
     path = tmp_path / "a.ufoa"
     write_container(path, ADAPTER_MAGIC, header, [np.zeros(7)])
     with pytest.raises(FormatError, match="recommended_alpha"):
+        load_adapter(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("kind", "sepia"), ("kind", None), ("rank", 0), ("rank", True), ("rank", 2.5), ("rank", "1")])
+def test_adapter_loader_reports_the_adapters_contract_error(tmp_path, key, value):
+    # UfoAdapter makes these checks; the loader reports them as damage
+    header = {"kind": "consistency", "recommended_alpha": 0.1, "rank": 1,
+              "fingerprint": "x", "layer_names": ["L"], "layer_shapes": [[2, 4]], key: value}
+    path = tmp_path / "a.ufoa"
+    write_container(path, ADAPTER_MAGIC, header, [np.zeros(7)])
+    with pytest.raises(FormatError, match=key):
         load_adapter(path)
 
 
