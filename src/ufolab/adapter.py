@@ -231,10 +231,9 @@ def load_adapter(path) -> UfoAdapter:
                 "kind", "recommended_alpha"):
         if key not in header:
             raise FormatError(f"adapter header is missing '{key}'")
-    meta = header.get("meta", {})
     try:
         adapter = UfoAdapter(header["rank"], header["fingerprint"], OrderedDict(), header["kind"],
-                             header["recommended_alpha"], meta if isinstance(meta, dict) else {})
+                             header["recommended_alpha"], header.get("meta", {}))
     except ContractError as exc:
         raise FormatError(f"bad adapter header: {exc}") from None
     names = header["layer_names"]

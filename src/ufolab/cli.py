@@ -30,7 +30,7 @@ from .fileio import write_csv
 from .metrics import evaluate_set, write_metrics_csv
 from .model import build_model, fingerprint, load_model, save_model
 from .synthdata import DEFAULT_CONDITIONS, STYLES, clip_stream
-from .train import TrainConfig, train_base, train_ufo_consistency, train_ufo_style
+from .train import train_base, train_ufo_consistency, train_ufo_style
 from .video import Clip, load_clip, save_clip
 
 # data batches come from an independent generator stream; offsetting its seed

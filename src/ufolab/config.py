@@ -150,7 +150,7 @@ def load_config(path) -> ExperimentConfig:
     def build(section, factory):
         try:
             return factory(**values[section])
-        except (ContractError, TypeError) as exc:
+        except ContractError as exc:
             raise ConfigError(f"invalid [{section}] settings: {exc}") from exc
 
     model = build("model", ModelConfig)

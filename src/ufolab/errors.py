@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one rule for numeric fields."""
+"""Exception types shared across the package, and the one rule for field types."""
 
 import dataclasses
 
@@ -22,11 +22,15 @@ def is_number(value, kind: type = float) -> bool:
 
 
 def check_field_types(record) -> None:
-    """Raise ContractError naming the first int or float field of dataclass
-    `record` whose value breaks `is_number`; the rule reads the annotations."""
+    """Raise ContractError naming the first field of dataclass `record` whose
+    value breaks its annotation: an int or float field fails `is_number`, or
+    a dict field (provenance saved as a JSON object) holds no dict."""
     for f in dataclasses.fields(record):
-        kind = {"int": int, "float": float}.get(getattr(f.type, "__name__", f.type))
+        declared = getattr(f.type, "__name__", f.type)
         value = getattr(record, f.name)
+        if declared == "dict" and not isinstance(value, dict):
+            raise ContractError(f"{f.name} must be a JSON object, got {value!r}")
+        kind = {"int": int, "float": float}.get(declared)
         if kind is not None and not is_number(value, kind):
             raise ContractError(f"{f.name} must be {'an integer' if kind is int else 'a number'}, "
                                 f"got {value!r}")

@@ -158,26 +158,6 @@ def _flow(arr: np.ndarray, radius: int) -> tuple[np.ndarray, bool]:
     return flows, bool(np.abs(flows).max() == radius)
 
 
-def block_flow(prev: np.ndarray, nxt: np.ndarray,
-               radius: int = FLOW_RADIUS) -> tuple[np.ndarray, bool]:
-    """Per-block integer displacement from `prev` to `nxt` by exhaustive SAD.
-
-    Returns ((Hb, Wb, 2) array of (dy, dx), saturated) where `saturated`
-    reports whether any winning displacement sits on the search boundary.
-    Candidates are ranked by (magnitude, dy, dx) and the first of equal SADs
-    wins, so ties resolve to the smallest displacement.
-    """
-    prev = np.asarray(prev, dtype=np.float64)
-    nxt = np.asarray(nxt, dtype=np.float64)
-    if prev.shape != nxt.shape or prev.ndim != 3:
-        raise ContractError(f"flow needs two (H, W, C) frames, got {prev.shape} and {nxt.shape}")
-    pair = np.stack([prev, nxt])
-    if not np.isfinite(pair).all():
-        raise ContractError("flow frames must be finite")
-    flows, saturated = _flow(pair, radius)
-    return flows[0], saturated
-
-
 def estimate_flow(clip, radius: int = FLOW_RADIUS) -> tuple[np.ndarray, bool]:
     """Block-flow magnitude maps for every consecutive frame pair.
 

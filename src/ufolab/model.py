@@ -94,7 +94,7 @@ class ModelConfig:
             raise FormatError(f"unknown model config fields {sorted(extra)}")
         try:
             return ModelConfig(**doc)
-        except (TypeError, ContractError) as exc:
+        except ContractError as exc:
             raise FormatError(f"bad model config: {exc}") from None
 
 

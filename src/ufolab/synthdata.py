@@ -76,6 +76,15 @@ def _extent(shape: str, half: float) -> tuple[int, int]:
     return 1, int(np.ceil(half)) + 1  # bar
 
 
+def _check_fits(program: ConditionSpec, height: int, width: int) -> None:
+    """Refuse a frame too small for an oscillating object, which keeps its
+    extent plus 3 pixels clear of each border; other motions fit 8x8."""
+    ey, ex = _extent(program.shape, float(_HALF))
+    if program.motion == "oscillate" and (height < 2 * ey + 7 or width < 2 * ex + 7):
+        raise ContractError(f"condition {program.condition_id} ({program.shape}, oscillate) needs "
+                            f"frames of at least {2 * ey + 7}x{2 * ex + 7}, got {height}x{width}")
+
+
 def _edge_of(mask: np.ndarray) -> np.ndarray:
     """Boundary ring: mask pixels with at least one off-mask 4-neighbour."""
     inner = mask.copy()
@@ -102,6 +111,7 @@ def render_clip(cond: int, seed: int, frames: int = 8, height: int = 16,
     program = describe_condition(cond)
     if frames < 2 or height < 8 or width < 8:
         raise ContractError(f"geometry too small: frames={frames}, {height}x{width}")
+    _check_fits(program, height, width)
     if not 0.0 <= jitter <= 0.1:
         raise ContractError(f"jitter must lie in [0, 0.1], got {jitter}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(cond)]))
@@ -223,6 +233,9 @@ def clip_stream(batch_size: int, seed: int, conditions=None, static: bool = Fals
                             dtype=int)
     if conds_pool.ndim != 1 or len(conds_pool) == 0:
         raise ContractError("conditions must be a non-empty 1-D id list")
+    for c in conds_pool:  # render_clip draws 16x16 unless told otherwise
+        _check_fits(describe_condition(c), render_kwargs.get("height", 16),
+                    render_kwargs.get("width", 16))
     rng = np.random.default_rng(seed)
     while True:
         conds = conds_pool[rng.integers(0, len(conds_pool), size=batch_size)]

@@ -153,51 +153,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
 
-    # -- operator sugar ------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __truediv__(self, other):
-        if not isinstance(other, (int, float)):
-            raise ContractError("tensor division only supports scalar divisors")
-        return mul(self, 1.0 / float(other))
-
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
-
-    def transpose(self, axes=None) -> "Tensor":
-        return transpose(self, axes)
-
-    def expand(self, shape) -> "Tensor":
-        return expand(self, shape)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tmean(self, axis=axis, keepdims=keepdims)
-
     def detach(self) -> "Tensor":
         """Same values, cut out of the current graph."""
         return Tensor(self.data, requires_grad=False)
@@ -223,15 +178,10 @@ def _record(out: Tensor, inputs: tuple, vjp: Callable) -> Tensor:
 # suffix of the other's.  Anything else is a DimensionError.
 # ---------------------------------------------------------------------------
 
-def _suffix_mode(sa: tuple, sb: tuple) -> int:
-    """0: equal, 1: b is a suffix of a, 2: a is a suffix of b."""
-    if sa == sb:
-        return 0
-    if len(sb) < len(sa) and sa[len(sa) - len(sb):] == sb:
-        return 1
-    if len(sa) < len(sb) and sb[len(sb) - len(sa):] == sa:
-        return 2
-    raise DimensionError(f"shapes {sa} and {sb} are not equal and neither is a trailing suffix of the other")
+def _check_suffix(sa: tuple, sb: tuple) -> None:
+    """Pass equal shapes, or one that is a trailing suffix of the other."""
+    if sa != sb and sa[len(sa) - len(sb):] != sb and sb[len(sb) - len(sa):] != sa:
+        raise DimensionError(f"shapes {sa} and {sb} are not equal and neither is a trailing suffix of the other")
 
 
 def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -245,7 +195,7 @@ def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a, b) -> Tensor:
     a = _coerce(a, b if isinstance(b, Tensor) else None)
     b = _coerce(b, a)
-    _suffix_mode(a.shape, b.shape)
+    _check_suffix(a.shape, b.shape)
     out = Tensor(a.data + b.data)
 
     def vjp(g):
@@ -268,7 +218,7 @@ def neg(a) -> Tensor:
 def mul(a, b) -> Tensor:
     a = _coerce(a, b if isinstance(b, Tensor) else None)
     b = _coerce(b, a)
-    _suffix_mode(a.shape, b.shape)
+    _check_suffix(a.shape, b.shape)
     out = Tensor(a.data * b.data)
 
     def vjp(g):

@@ -83,8 +83,7 @@ def load_clip(path) -> Clip:
         raise FormatError(f"payload holds {len(blob)} bytes, sidecar promises {expected}",
                           offset=min(len(blob), expected))
     arr = np.frombuffer(blob, dtype="<f4").reshape(dims).astype(np.float32, copy=True)
-    meta = sidecar.get("meta", {})
     try:
-        return Clip(arr, fps=sidecar["fps"], meta=meta if isinstance(meta, dict) else {})
+        return Clip(arr, fps=sidecar["fps"], meta=sidecar.get("meta", {}))
     except ContractError as exc:
         raise FormatError(f"bad clip: {exc}") from None

@@ -219,8 +219,8 @@ def test_criterion_03_gradient_correctness(capsys):
         # which finite differences would see but the gradient must not)
         def loss():
             eps_hat, v = forward(model, z_t, t, cond, stack)
-            return (T.tmean(T.square(eps_hat - Tensor(eps_tgt)))
-                    + T.tmean(T.square(v - Tensor(v_tgt))))
+            return T.add(T.tmean(T.square(T.sub(eps_hat, Tensor(eps_tgt)))),
+                         T.tmean(T.square(T.sub(v, Tensor(v_tgt)))))
 
         with T.recording() as tape:
             T.backward(loss(), tape)

@@ -15,9 +15,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ufolab.adapter import init_adapter, load_adapter, save_adapter
+from ufolab.adapter import ADAPTER_MAGIC, init_adapter, load_adapter, save_adapter
 from ufolab.cli import build_parser, main
 from ufolab.config import OUTPUT_ROOT_ENV
+from ufolab.fileio import read_container, write_container
 from ufolab.model import ModelConfig, build_model, load_model, save_model
 from ufolab.synthdata import gen_moving_scene, make_static_video
 from ufolab.video import load_clip, save_clip
@@ -144,6 +145,15 @@ def test_negative_train_seed_exits_2_and_writes_nothing(tmp_path, capsys):
     assert main(["train-base", str(cfg)]) == 2
     assert "seed must be >= 0" in capsys.readouterr().err
     assert not any(p.is_file() for p in tmp_path.rglob("*") if p != cfg)
+
+
+def test_frame_too_small_for_a_condition_exits_2(tmp_path, capsys):
+    # condition 3 oscillates a square, which needs 11x11; 8x8 passes ModelConfig
+    cfg = write_config(tmp_path / "exp.ini", tmp_path / "ck", tmp_path / "rp")
+    cfg.write_text(cfg.read_text().replace("height = 16\nwidth = 16", "height = 8\nwidth = 8"))
+    assert main(["train-base", str(cfg)]) == 2
+    assert "condition 3 (square, oscillate) needs frames of at least 11x11, got 8x8" in (
+        capsys.readouterr().err)
 
 
 def test_train_base_outputs_and_loss_rows(workspace):
@@ -438,6 +448,12 @@ def test_inspect_prints_artifact_facts(workspace, tmp_path, capsys):
 
     (tmp_path / "x.bin").write_bytes(b"??")
     assert main(["inspect", str(tmp_path / "x.bin")]) == 2
+
+    header, payload, _ = read_container(workspace.ufo, ADAPTER_MAGIC)
+    write_container(tmp_path / "a.ufoa", ADAPTER_MAGIC, {**header, "meta": [1, 2]},
+                    [np.frombuffer(payload, dtype="<f4")])
+    assert main(["inspect", str(tmp_path / "a.ufoa")]) == 4
+    assert "meta must be a JSON object" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -1,5 +1,6 @@
 """Config parsing: strict schema, typed values, value checks, paths, fuzzing."""
 
+import dataclasses
 import os
 from pathlib import Path
 
@@ -7,8 +8,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ufolab.config import OUTPUT_ROOT_ENV, load_config, resolve_path
+from ufolab.config import (
+    _SCHEMA,
+    OUTPUT_ROOT_ENV,
+    DataConfig,
+    PathsConfig,
+    load_config,
+    resolve_path,
+)
 from ufolab.errors import ConfigError
+from ufolab.model import ModelConfig
+from ufolab.train import TrainConfig
 
 from test_cli import CONFIG
 
@@ -92,6 +102,15 @@ def test_domain_violations_become_config_errors(tmp_path):
     for bad in ("fps = nan", "fps = -1", "timesteps = 1", "patch = 0", "heads = 0"):
         with pytest.raises(ConfigError, match=r"invalid \[model\]"):
             load_config(write(tmp_path, f"[model]\n{bad}\n"))
+
+
+def test_schema_keys_are_fields_of_their_records():
+    # each section is built as record(**values), so no key can raise TypeError there
+    records = {"model": ModelConfig, "train": TrainConfig, "data": DataConfig,
+               "paths": PathsConfig}
+    assert set(records) == set(_SCHEMA)
+    for section, record in records.items():
+        assert set(_SCHEMA[section]) <= {f.name for f in dataclasses.fields(record)}, section
 
 
 def test_data_checks(tmp_path):

@@ -8,7 +8,6 @@ from ufolab.errors import ContractError, DimensionError, FormatError
 from ufolab.fileio import read_container, write_container
 from ufolab.model import (
     MODEL_MAGIC,
-    DiffusionModel,
     ModelConfig,
     adaptable_layers,
     build_model,
@@ -59,6 +58,14 @@ def test_config_validation():
     for fps in (float("nan"), float("inf"), 0.0, -1.0):
         with pytest.raises(ContractError, match="fps"):
             ModelConfig(fps=fps)
+
+
+@pytest.mark.parametrize("name", list(ModelConfig.__dataclass_fields__))
+def test_from_dict_refuses_every_json_kind_in_every_field(name):
+    # no field accepts these, and each refusal is a FormatError, never a TypeError
+    for value in (None, True, "x", [1], {"a": 1}, float("nan"), float("inf")):
+        with pytest.raises(FormatError, match="model config"):
+            ModelConfig.from_dict({name: value})
 
 
 def test_forward_shapes_and_zero_head_output():
@@ -116,7 +123,7 @@ def test_gradients_match_finite_differences_through_whole_network():
             model.params[pname] = x
             try:
                 eps, v = forward(model, z, t, c)
-                return T.tmean(T.square(eps - Tensor(tgt))) + T.tmean(T.square(v))
+                return T.add(T.tmean(T.square(T.sub(eps, Tensor(tgt)))), T.tmean(T.square(v)))
             finally:
                 model.params[pname] = keep
 

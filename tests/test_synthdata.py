@@ -1,5 +1,7 @@
 """Synthetic clip generator tests."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,33 @@ def test_clip_geometry_dtype_and_headroom():
         assert clip.data.min() >= 0.0
         assert clip.data.max() <= 0.9  # headroom for brightness-shift checks
         assert clip.meta["condition"] == cond
+
+
+def test_geometry_an_oscillation_cannot_fit_is_a_contract_error():
+    # square and disk oscillate with 3 clear pixels around a 5x5 extent; the
+    # bar is 3 tall and 7 wide; the other motions fit any frame from 8x8 up
+    need = {"square": (11, 11), "disk": (11, 11), "bar": (9, 13)}
+    for cond in range(len(SHAPES) * len(MOTIONS)):
+        prog = describe_condition(cond)
+        h, w = need[prog.shape]
+        for height, width in itertools.product(range(8, 17), repeat=2):
+            if prog.motion != "oscillate" or (height >= h and width >= w):
+                clip, _ = render_clip(cond, 1, height=height, width=width)
+                assert clip.shape[1:3] == (height, width)
+                continue
+            with pytest.raises(ContractError) as err:
+                render_clip(cond, 1, height=height, width=width)
+            assert f"condition {cond} ({prog.shape}, oscillate)" in str(err.value)
+            assert f"at least {h}x{w}, got {height}x{width}" in str(err.value)
+
+
+def test_clip_stream_checks_its_pool_before_the_first_batch():
+    with pytest.raises(ContractError, match="condition 5 .* at least 9x13, got 16x12"):
+        next(clip_stream(2, seed=1, conditions=[0, 5], height=16, width=12))
+    with pytest.raises(ContractError, match="condition 3 .* at least 11x11, got 8x8"):
+        next(clip_stream(2, seed=1, conditions=[3], height=8, width=8))
+    clips, _ = next(clip_stream(2, seed=1, conditions=[0, 1, 2, 6], height=8, width=8))
+    assert clips.shape == (2, 8, 8, 8, 1)
 
 
 def test_values_lie_on_the_inversion_grid():

@@ -4,8 +4,9 @@ Expected values are either worked out by hand (and shown in comments) or
 checked against central finite differences in float64.
 """
 
+import importlib
 import tracemalloc
-import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,11 +43,10 @@ def test_integer_input_is_promoted_to_float():
 
 def test_elementwise_values():
     x = Tensor([1.0, -2.0, 0.5])
-    assert np.allclose((x + 1.0).numpy(), [2.0, -1.0, 1.5])
-    assert np.allclose((2.0 * x).numpy(), [2.0, -4.0, 1.0])
-    assert np.allclose((x - x).numpy(), [0.0, 0.0, 0.0])
+    assert np.allclose(T.add(x, 1.0).numpy(), [2.0, -1.0, 1.5])
+    assert np.allclose(T.mul(2.0, x).numpy(), [2.0, -4.0, 1.0])
+    assert np.allclose(T.sub(x, x).numpy(), [0.0, 0.0, 0.0])
     assert np.allclose(T.square(x).numpy(), [1.0, 4.0, 0.25])
-    assert np.allclose((x / 2).numpy(), [0.5, -1.0, 0.25])
 
 
 def test_softmax_rows_normalize_and_shift_invariance():
@@ -170,15 +170,15 @@ def test_expand_and_reduction_shapes():
 def test_suffix_broadcast_allowed_only_on_trailing_dims():
     a = Tensor(np.ones((2, 3)))
     b = Tensor(np.ones(3))
-    assert (a + b).shape == (2, 3)
+    assert T.add(a, b).shape == (2, 3)
     with pytest.raises(DimensionError) as err:
-        _ = Tensor(np.ones((3, 2))) + b
+        T.add(Tensor(np.ones((3, 2))), b)
     assert "(3, 2)" in str(err.value) and "(3,)" in str(err.value)
 
 
 def test_no_numpy_style_inner_broadcast():
     with pytest.raises(DimensionError):
-        _ = Tensor(np.ones((2, 1, 4))) * Tensor(np.ones((2, 3, 4)))
+        T.mul(Tensor(np.ones((2, 1, 4))), Tensor(np.ones((2, 3, 4))))
 
 
 def test_matmul_shape_errors_name_both_shapes():
@@ -355,8 +355,8 @@ def test_add_is_associative_to_float_tolerance():
     rng = np.random.default_rng(5)
     for _ in range(20):
         a, b, c = (rng.normal(size=7) for _ in range(3))
-        lhs = ((Tensor(a) + Tensor(b)) + Tensor(c)).numpy()
-        rhs = (Tensor(a) + (Tensor(b) + Tensor(c))).numpy()
+        lhs = T.add(T.add(Tensor(a), Tensor(b)), Tensor(c)).numpy()
+        rhs = T.add(Tensor(a), T.add(Tensor(b), Tensor(c))).numpy()
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -372,11 +372,11 @@ def test_finite_diff_each_primitive():
     cases = [
         lambda x: T.tsum(T.square(x)),
         lambda x: T.tmean(T.mul(x, x), axis=0),
-        lambda x: T.tsum(T.exp(0.3 * x)),
+        lambda x: T.tsum(T.exp(T.mul(0.3, x))),
         lambda x: T.tsum(T.gelu(x)),
         lambda x: T.softmax(x),  # reduced with fixed weights by the checker
         lambda x: T.tsum(T.square(T.matmul(x, Tensor(w)))),
-        lambda x: T.tsum(T.transpose(x) + 1.0),
+        lambda x: T.tsum(T.add(T.transpose(x), 1.0)),
         lambda x: T.tsum(T.square(T.reshape(x, (12,)))),
         lambda x: T.tsum(T.square(T.expand(T.reshape(x, (3, 1, 4)), (3, 5, 4)))),
         lambda x: T.layernorm(x, Tensor(np.ones(4)), Tensor(np.zeros(4))),
@@ -401,10 +401,10 @@ def test_finite_diff_composite_network():
     tgt = Tensor(rng.normal(size=(6, 4)))
 
     def net(x):
-        h = T.gelu(T.matmul(x, w1) + b1)
+        h = T.gelu(T.add(T.matmul(x, w1), b1))
         h = T.layernorm(h, g, b)
         p = T.softmax(T.matmul(h, w2))
-        return T.tmean(T.square(p - tgt))
+        return T.tmean(T.square(T.sub(p, tgt)))
 
     err = finite_diff_check(net, rng.normal(size=(6, 5)), eps=1e-6)
     assert err < 1e-6
@@ -425,3 +425,19 @@ def test_finite_diff_reduces_vector_outputs():
     # identity map: reduction weights make the check sensitive per-coordinate
     err = finite_diff_check(lambda x: T.mul(x, x), np.array([1.0, -2.0, 3.0]), eps=1e-6)
     assert err < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# names the benchmark wraps
+# ---------------------------------------------------------------------------
+
+def test_perfbench_tracer_finds_every_name_it_wraps(monkeypatch):
+    # perfbench/tracing.py wraps ufolab functions by name, `tsum` among them,
+    # which src/ never calls; building its patch table looks each one up, so
+    # a deleted or renamed name fails here rather than only in a traced run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    add = T.add
+    patched = {name for _, name, _, _ in tracing.Tracer()._patches}
+    assert set(tracing.TENSOR_OPS) <= patched
+    assert T.add is add  # the constructor builds the table; only install() patches

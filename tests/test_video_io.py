@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ufolab.adapter import ADAPTER_MAGIC, init_adapter, load_adapter, save_adapter
+from ufolab.adapter import ADAPTER_MAGIC, UfoAdapter, init_adapter, load_adapter, save_adapter
 from ufolab.errors import ContractError, FormatError, NumericError
 from ufolab.fileio import atomic_write_bytes, read_container, unpack_arrays, write_container
 from ufolab.model import ModelConfig, build_model, load_model, save_model
@@ -245,6 +245,39 @@ def test_adapter_loader_reports_the_adapters_contract_error(tmp_path, key, value
     write_container(path, ADAPTER_MAGIC, header, [np.zeros(7)])
     with pytest.raises(FormatError, match=key):
         load_adapter(path)
+
+
+def write_with_meta(tmp_path, **meta):
+    """A minimal .ufoa and a one-frame .vclip whose header and sidecar carry
+    `meta=...` when it is given and no meta at all otherwise."""
+    header = {"kind": "consistency", "recommended_alpha": 0.1, "rank": 1,
+              "fingerprint": "x", "layer_names": ["L"], "layer_shapes": [[2, 4]], **meta}
+    adapter, clip = tmp_path / "a.ufoa", tmp_path / "c.vclip"
+    write_container(adapter, ADAPTER_MAGIC, header, [np.zeros(7)])
+    save_clip(make_clip(shape=(1, 4, 4, 1)), clip)
+    side = tmp_path / "c.vclip.json"
+    doc = json.loads(side.read_text())
+    del doc["meta"]
+    side.write_text(json.dumps({**doc, **meta}))
+    return adapter, clip
+
+
+@pytest.mark.parametrize("meta", [[1, 2], "oops", 5, None])
+def test_meta_that_is_no_json_object_is_refused(tmp_path, meta):
+    with pytest.raises(ContractError, match="meta must be a JSON object"):
+        Clip(np.zeros((1, 2, 2, 1), dtype=np.float32), meta=meta)
+    with pytest.raises(ContractError, match="meta must be a JSON object"):
+        UfoAdapter(1, "x", {}, meta=meta)
+    adapter, clip = write_with_meta(tmp_path, meta=meta)
+    with pytest.raises(FormatError, match="meta must be a JSON object"):
+        load_adapter(adapter)
+    with pytest.raises(FormatError, match="meta must be a JSON object"):
+        load_clip(clip)
+
+
+def test_missing_meta_loads_as_empty(tmp_path):
+    adapter, clip = write_with_meta(tmp_path)
+    assert load_adapter(adapter).meta == {} and load_clip(clip).meta == {}
 
 
 @pytest.fixture(scope="module")
