@@ -204,20 +204,8 @@ def _linear(x: Tensor, name: str, params, stack=None) -> Tensor:
 
 def _attention(h: Tensor, prefix: str, params, stack, heads: int) -> Tensor:
     """Self-attention over the length axis of (clips, groups, length, dim)."""
-    b, g, length, dim = h.shape
-    hd = dim // heads
-    scale = 1.0 / math.sqrt(hd)
-
-    def split(x):  # (b, g, L, dim) -> (b, g, heads, L, hd)
-        return T.transpose(T.reshape(x, (b, g, length, heads, hd)), (0, 1, 3, 2, 4))
-
-    q = split(_linear(h, prefix + ".q", params, stack))
-    k = split(_linear(h, prefix + ".k", params, stack))
-    v = split(_linear(h, prefix + ".v", params, stack))
-    scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 2, 4, 3))), scale)
-    att = T.softmax(scores)
-    out = T.matmul(att, v)  # (b, g, heads, L, hd)
-    out = T.reshape(T.transpose(out, (0, 1, 3, 2, 4)), (b, g, length, dim))
+    q, k, v = (_linear(h, f"{prefix}.{name}", params, stack) for name in "qkv")
+    out = T.attention(q, k, v, heads, 1.0 / math.sqrt(h.shape[-1] // heads))
     return _linear(out, prefix + ".proj", params, stack)
 
 

@@ -42,10 +42,15 @@ class ConditionSpec:
     palette: int
 
 
+def _is_index(value) -> bool:
+    """Whether `value` is an integer >= 0: a Python or NumPy integer, never a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
+
+
 def describe_condition(cond: int) -> ConditionSpec:
     """Decode a condition id; ids enumerate (shape, motion, palette) triples."""
-    if not 0 <= int(cond) < NUM_CONDITIONS:
-        raise ContractError(f"condition must lie in [0, {NUM_CONDITIONS}), got {cond}")
+    if not (_is_index(cond) and cond < NUM_CONDITIONS):
+        raise ContractError(f"condition must be an integer in [0, {NUM_CONDITIONS}), got {cond!r}")
     cond = int(cond)
     return ConditionSpec(
         condition_id=cond,
@@ -109,6 +114,8 @@ def render_clip(cond: int, seed: int, frames: int = 8, height: int = 16,
                 jitter: float = DEFAULT_JITTER) -> tuple[Clip, np.ndarray]:
     """Render one clip; returns (clip, per-frame object masks (F, H, W) bool)."""
     program = describe_condition(cond)
+    if not _is_index(seed):
+        raise ContractError(f"seed must be an integer >= 0, got {seed!r}")
     if frames < 2 or height < 8 or width < 8:
         raise ContractError(f"geometry too small: frames={frames}, {height}x{width}")
     _check_fits(program, height, width)

@@ -20,6 +20,14 @@ operands in the same order, up to swapping the operands of one ``*`` or
 ``+``.  For the contiguous inputs the model feeds them, with a contiguous
 or transposed gradient, results also keep the formula's memory layout,
 which later reductions sum in; so trained bytes never depend on the rewrite.
+gelu keeps only ``x`` and its tanh term and recomputes x² in its vjp.
+
+``attention`` is the model's multi-head attention as one node: head split,
+q @ kᵀ, scale, softmax, @ v and head merge, with the operations and layouts
+of that chain of ops (kept in the test oracles).  It keeps its q, k, v
+inputs and the softmax output; its vjp copies the heads and kᵀ again, which
+changes no bit, rather than the tape holding the scores and every copy.
+``softmax`` and ``attention`` share one forward and one vjp kernel.
 The vjp of an op with several inputs returns None for an input that needs
 no gradient, instead of a partial that ``backward`` would drop.
 """
@@ -56,6 +64,7 @@ __all__ = [
     "exp",
     "gelu",
     "softmax",
+    "attention",
     "layernorm",
     "take_rows",
 ]
@@ -378,8 +387,8 @@ def gelu(a) -> Tensor:
     """Gaussian error linear unit (tanh approximation)."""
     a = _coerce(a)
     x = a.data
-    x2 = np.multiply(x, x)
-    t = np.multiply(x2, x)
+    t = np.multiply(x, x)
+    t *= x
     t *= _GELU_A
     t += x
     t *= _GELU_C
@@ -389,7 +398,8 @@ def gelu(a) -> Tensor:
     out = Tensor(y)
 
     def vjp(g):
-        du = np.multiply(x2, 3.0 * _GELU_A)
+        du = np.multiply(x, x)
+        du *= 3.0 * _GELU_A
         du += 1.0
         du *= _GELU_C                      # du = C * (1 + 3A * x^2)
         s = np.multiply(t, t)
@@ -406,22 +416,77 @@ def gelu(a) -> Tensor:
     return _record(out, (a,), vjp)
 
 
+def _softmax_forward(x, out=None):
+    """Softmax over the last axis of `x`, into `out` (which may be `x`) or a new array."""
+    y = np.subtract(x, np.max(x, axis=-1, keepdims=True), out=out)
+    np.exp(y, out=y)
+    y /= np.sum(y, axis=-1, keepdims=True)
+    return y
+
+
+def _softmax_vjp(y, g):
+    d = np.multiply(g, y)
+    dot = np.sum(d, axis=-1, keepdims=True)
+    np.subtract(g, dot, out=d)
+    d *= y                                 # y * (g - sum(g * y))
+    return d
+
+
 def softmax(a) -> Tensor:
     """Softmax over the last axis."""
     a = _coerce(a)
-    y = np.subtract(a.data, np.max(a.data, axis=-1, keepdims=True))
-    np.exp(y, out=y)
-    y /= np.sum(y, axis=-1, keepdims=True)
-    out = Tensor(y)
+    y = _softmax_forward(a.data)
+    return _record(Tensor(y), (a,), lambda g: (_softmax_vjp(y, g),))
+
+
+_HEADS = (0, 1, 3, 2, 4)       # (b, g, L, heads, hd) <-> (b, g, heads, L, hd)
+_KEYS_T = (0, 1, 3, 4, 2)      # (b, g, L, heads, hd) -> (b, g, heads, hd, L)
+_KEYS_T_BACK = (0, 1, 4, 2, 3)
+
+
+def attention(q, k, v, heads: int, scale: float) -> Tensor:
+    """Multi-head self-attention over the length axis, as one tape node.
+
+    ``q``, ``k`` and ``v`` are (clips, groups, length, dim) projections; the
+    result is softmax(q kᵀ · scale) v per head, heads merged back into (clips,
+    groups, length, dim).  The forward runs the unfused chain's operations on
+    the same layouts: contiguous head copies of q and v and a contiguous kᵀ,
+    q @ kᵀ, ``*=`` the scale, softmax in place, @ v, one merge copy.  The node
+    keeps its inputs and the softmax output; the vjp copies the heads and kᵀ
+    again and returns each partial in the chain's layout (transposed views,
+    then a reshape copy).
+    """
+    q, k, v = _coerce(q), _coerce(k), _coerce(v)
+    if q.ndim != 4 or k.shape != q.shape or v.shape != q.shape:
+        raise DimensionError(f"attention needs equal 4-D q, k, v, got {q.shape}, {k.shape}, {v.shape}")
+    if heads < 1 or q.shape[-1] % heads:
+        raise DimensionError(f"attention heads {heads} must divide dim {q.shape[-1]}")
+    split = q.shape[:3] + (heads, q.shape[-1] // heads)
+
+    def copy(x, axes):
+        return np.ascontiguousarray(np.transpose(np.reshape(x.data, split), axes))
+
+    def merge(x, axes):
+        return np.reshape(np.transpose(x, axes), q.shape)
+
+    att = copy(q, _HEADS) @ copy(k, _KEYS_T)
+    scale = np.asarray(scale, dtype=att.dtype)
+    att *= scale
+    _softmax_forward(att, out=att)
+    out = Tensor(merge(att @ copy(v, _HEADS), _HEADS))
 
     def vjp(g):
-        d = np.multiply(g, y)
-        dot = np.sum(d, axis=-1, keepdims=True)
-        np.subtract(g, dot, out=d)
-        d *= y                             # y * (g - sum(g * y))
-        return (d,)
+        go = np.transpose(np.reshape(g, split), _HEADS)
+        dv = merge(np.swapaxes(att, -1, -2) @ go, _HEADS) if v.requires_grad else None
+        if not (q.requires_grad or k.requires_grad):
+            return None, None, dv
+        ds = _softmax_vjp(att, go @ np.swapaxes(copy(v, _HEADS), -1, -2))
+        ds *= scale
+        dq = merge(ds @ np.swapaxes(copy(k, _KEYS_T), -1, -2), _HEADS) if q.requires_grad else None
+        dk = merge(np.swapaxes(copy(q, _HEADS), -1, -2) @ ds, _KEYS_T_BACK) if k.requires_grad else None
+        return dq, dk, dv
 
-    return _record(out, (a,), vjp)
+    return _record(out, (q, k, v), vjp)
 
 
 def layernorm(a, gamma, beta, eps: float = 1e-5) -> Tensor:

@@ -49,13 +49,20 @@ class Clip:
 
 
 def save_clip(clip: Clip, path) -> None:
-    """Write `<path>` (raw float32 LE frames) and `<path>.json` (geometry sidecar)."""
+    """Write `<path>` (raw float32 LE frames) and `<path>.json` (geometry sidecar).
+
+    An old sidecar is removed before the payload is replaced, so a save that
+    stops between the two writes leaves a payload without a sidecar, which
+    `load_clip` refuses, and never a new payload paired with an old sidecar.
+    """
     path = Path(path)
+    side_path = Path(str(path) + ".json")
     f, h, w, c = clip.data.shape
     sidecar = {"frames": f, "height": h, "width": w, "channels": c,
                "fps": clip.fps, "meta": dict(clip.meta)}
+    side_path.unlink(missing_ok=True)
     atomic_write_bytes(path, clip.data.astype("<f4").tobytes(order="C"))
-    atomic_write_bytes(str(path) + ".json", canonical_json(sidecar) + b"\n")
+    atomic_write_bytes(side_path, canonical_json(sidecar) + b"\n")
 
 
 def load_clip(path) -> Clip:

@@ -8,7 +8,8 @@ one-layer adapter for that path.  `flow_oracle` is the per-block,
 per-candidate block-matching loop that the vectorised flow must reproduce
 bit for bit.  `gelu_oracle`, `softmax_oracle` and `layernorm_oracle` are
 the plain-expression formulas, forward and vjp, that the in-place kernels
-of `ufolab.tensor` must reproduce bit for bit.  `poke_payload` damages a
+of `ufolab.tensor` must reproduce bit for bit; `attention_oracle` is the
+unfused chain of tensor ops that `T.attention` replaces.  `poke_payload` damages a
 saved container the way the savers never would, for the loaders' tests.
 """
 
@@ -183,6 +184,33 @@ def layernorm_oracle(x, gamma, beta, g, eps: float = 1e-5):
     dx = inv * (gg - np.mean(gg, axis=-1, keepdims=True)
                 - xhat * np.mean(gg * xhat, axis=-1, keepdims=True))
     return y, dx, dgamma, dbeta
+
+
+def attention_oracle(q, k, v, heads: int, scale: float, g, needs=(True, True, True)):
+    """(y, dq, dk, dv) of multi-head attention as a chain of tensor ops.
+
+    q, k and v are (clips, groups, length, dim) arrays; the chain splits the
+    heads, multiplies by a contiguous kᵀ, scales, takes the softmax, multiplies
+    by v and merges the heads.  The partials are what each op's vjp hands on
+    for the output gradient g; an input whose `needs` entry is False gets None.
+    """
+    b, grp, length, dim = q.shape
+    hd = dim // heads
+
+    def split(x):  # (b, g, L, dim) -> (b, g, heads, L, hd)
+        return T.transpose(T.reshape(x, (b, grp, length, heads, hd)), (0, 1, 3, 2, 4))
+
+    leaves = [Tensor(x, requires_grad=need) for x, need in zip((q, k, v), needs)]
+    with T.recording() as tape:
+        qh, kh, vh = (split(x) for x in leaves)
+        att = T.softmax(T.mul(T.matmul(qh, T.transpose(kh, (0, 1, 2, 4, 3))), scale))
+        out = T.reshape(T.transpose(T.matmul(att, vh), (0, 1, 3, 2, 4)), (b, grp, length, dim))
+    flowing = {id(out): g}  # each op's output has one consumer, so partials never add
+    for node in reversed(tape.nodes):
+        for inp, part in zip(node.inputs, node.vjp(flowing.pop(id(node.output)))):
+            if part is not None and inp.requires_grad:
+                flowing[id(inp)] = part
+    return (out.data,) + tuple(flowing.get(id(x)) for x in leaves)
 
 
 def poke_payload(path, index: int, value: float) -> None:

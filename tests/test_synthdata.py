@@ -36,6 +36,26 @@ def test_condition_table_is_complete_and_bounded():
             describe_condition(bad)
 
 
+@pytest.mark.parametrize("cond,seed", [(True, 1), (2.7, 1), (2.0, 1), (-1, 1), (np.float64(2), 1),
+                                       (3, False), (3, 1.5), (3, -1), (3, np.int64(-1))])
+def test_condition_and_seed_must_be_integers_at_least_zero(cond, seed):
+    # refused, not truncated, read as 0 or 1, or handed to NumPy's seeding
+    with pytest.raises(ContractError, match="condition" if seed == 1 else "seed"):
+        render_clip(cond, seed)
+    if seed == 1:
+        with pytest.raises(ContractError):
+            describe_condition(cond)
+
+
+def test_numpy_integer_condition_and_seed_render_the_same_bytes():
+    clip, masks = render_clip(5, 123)
+    for cond, seed in ((np.int64(5), np.int64(123)), (np.int32(5), np.uint32(123))):
+        assert describe_condition(cond) == describe_condition(5)
+        other, other_masks = render_clip(cond, seed)
+        assert other.data.tobytes() == clip.data.tobytes()
+        assert np.array_equal(other_masks, masks) and other.meta == clip.meta
+
+
 def test_rendering_is_deterministic_per_condition_and_seed():
     a, ma = render_clip(5, 123)
     b, mb = render_clip(5, 123)

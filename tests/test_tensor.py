@@ -5,6 +5,8 @@ checked against central finite differences in float64.
 """
 
 import importlib
+import itertools
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -17,7 +19,8 @@ from ufolab.errors import ContractError, DimensionError
 from ufolab.model import ModelConfig, build_model, forward
 from ufolab.tensor import Tensor, backward
 
-from oracles import finite_diff_check, gelu_oracle, layernorm_oracle, softmax_oracle
+from oracles import (attention_oracle, finite_diff_check, gelu_oracle, layernorm_oracle,
+                     softmax_oracle)
 
 
 def leaf(data):
@@ -141,6 +144,42 @@ def test_layernorm_matches_its_oracle_bit_for_bit(dtype, shape, transposed_g):
             _same_bits(part, ref)
     for arr, orig in zip((x, g, gamma, beta), before):
         assert np.array_equal(arr, orig)
+
+
+# spatial and temporal attention at the default size, a length of 1, one head
+ATTENTION_CASES = [((8, 8, 64, 64), 4), ((8, 64, 8, 64), 4), ((2, 3, 1, 8), 2), ((2, 3, 5, 8), 1)]
+
+
+@pytest.mark.parametrize("needs", list(itertools.product((False, True), repeat=3)))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape,heads", ATTENTION_CASES)
+def test_attention_matches_its_oracle_bit_for_bit(shape, heads, dtype, needs):
+    rng = np.random.default_rng(13)
+    q, k, v, g = (rng.standard_normal(shape).astype(dtype) for _ in range(4))
+    before = [arr.copy() for arr in (q, k, v, g)]
+    scale = 1.0 / math.sqrt(shape[-1] // heads)
+    y_ref, *grads_ref = attention_oracle(q, k, v, heads, scale, g, needs)
+    with T.recording() as tape:
+        out = T.attention(*(Tensor(x, requires_grad=n) for x, n in zip((q, k, v), needs)),
+                          heads, scale)
+    _same_bits(out.data, y_ref)
+    assert len(tape) == any(needs)
+    for _ in range(2 * any(needs)):  # a second call sees the same kept forward state
+        for part, ref in zip(tape.nodes[0].vjp(g), grads_ref):
+            if ref is None:
+                assert part is None
+            else:
+                _same_bits(part, ref)
+    for arr, orig in zip((q, k, v, g), before):
+        assert np.array_equal(arr, orig)
+
+
+def test_attention_refuses_mismatched_shapes_and_heads():
+    x = Tensor(np.zeros((2, 3, 4, 8)))
+    with pytest.raises(DimensionError, match="equal 4-D"):
+        T.attention(x, x, Tensor(np.zeros((2, 3, 5, 8))), 2, 1.0)
+    with pytest.raises(DimensionError, match="heads 3 must divide dim 8"):
+        T.attention(x, x, x, 3, 1.0)
 
 
 def test_take_rows_values_and_duplicate_grad():
@@ -335,6 +374,28 @@ def test_backward_frees_each_gradient_once_its_node_has_run():
         finally:
             tracemalloc.stop()
     assert peak < 0.35 * held, peak / held
+
+
+def test_training_tape_keeps_no_attention_scores():
+    # the unfused chain left the (L, L) scores, their scaled copy and the head
+    # split/merge copies on the tape, and gelu kept x² for its vjp
+    cfg = ModelConfig()
+    model = build_model(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    shape = (2, cfg.frames, cfg.height, cfg.width, cfg.channels)
+    z0 = rng.random(shape).astype(np.float32)
+    eps = rng.standard_normal(shape).astype(np.float32)
+    with T.recording() as tape:
+        training_losses(model, z0, np.array([3, 70]), np.array([0, 1]), eps)
+    # a (heads, L, L) block of scores; (L, L) alone would match the (sites, dim) activations
+    scores = {(cfg.heads, n, n) for n in (cfg.frames, cfg.sites)}
+    assert [n.output.shape for n in tape.nodes if n.output.shape[-3:] in scores] == []
+    ops = [n.vjp.__qualname__.split(".")[0] for n in tape.nodes]
+    assert ops.count("attention") == 2 * cfg.blocks  # temporal and spatial, per block
+    for node in (n for n, op in zip(tape.nodes, ops) if op == "gelu"):
+        held = [c.cell_contents for c in node.vjp.__closure__
+                if isinstance(c.cell_contents, np.ndarray)]
+        assert len(held) == 2 and any(arr is node.inputs[0].data for arr in held)
 
 
 def test_repeated_backward_is_bit_deterministic():

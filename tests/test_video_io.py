@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ufolab import video
 from ufolab.adapter import ADAPTER_MAGIC, UfoAdapter, init_adapter, load_adapter, save_adapter
 from ufolab.errors import ContractError, FormatError, NumericError
 from ufolab.fileio import atomic_write_bytes, read_container, unpack_arrays, write_container
@@ -104,6 +105,29 @@ def test_clip_loader_rejects_damage(tmp_path):
     path.write_bytes(bad.tobytes())
     with pytest.raises(FormatError):
         load_clip(path)
+
+
+@pytest.mark.parametrize("failing", ["payload", "sidecar"])
+def test_a_save_that_stops_midway_leaves_no_stale_pairing(tmp_path, monkeypatch, failing):
+    # the payload and the sidecar are two renames; a save that fails between
+    # them must not pair a payload with the previous save's sidecar
+    path = tmp_path / "c.vclip"
+    save_clip(make_clip(1), path)
+    real_write = video.atomic_write_bytes
+
+    def write(target, blob):
+        if str(target).endswith(".json") == (failing == "sidecar"):
+            raise OSError("disk full")
+        real_write(target, blob)
+
+    monkeypatch.setattr(video, "atomic_write_bytes", write)
+    with pytest.raises(OSError):
+        save_clip(make_clip(2), path)
+    with pytest.raises(FormatError, match="missing sidecar"):
+        load_clip(path)
+    monkeypatch.undo()
+    save_clip(make_clip(2), path)
+    assert np.array_equal(load_clip(path).data, make_clip(2).data)
 
 
 # ---------------------------------------------------------------------------
