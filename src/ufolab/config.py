@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, check_field_types
 from .model import ModelConfig
-from .synthdata import DEFAULT_CONDITIONS, DEFAULT_JITTER, NUM_CONDITIONS
+from .synthdata import DEFAULT_CONDITIONS, DEFAULT_JITTER, check_conditions, check_jitter
 from .train import TrainConfig
 
 OUTPUT_ROOT_ENV = "UFOLAB_OUTPUT_ROOT"
@@ -25,6 +25,11 @@ OUTPUT_ROOT_ENV = "UFOLAB_OUTPUT_ROOT"
 class DataConfig:
     conditions: tuple = DEFAULT_CONDITIONS
     jitter: float = DEFAULT_JITTER
+
+    def __post_init__(self):
+        check_field_types(self)
+        check_conditions(self.conditions)
+        check_jitter(self.jitter)
 
 
 @dataclass(frozen=True)
@@ -41,39 +46,18 @@ class ExperimentConfig:
     paths: PathsConfig
 
 
-def _int(text: str) -> int:
-    return int(text.strip())
-
-
-def _float(text: str) -> float:
-    return float(text.strip())
-
-
-def _str(text: str) -> str:
-    return text.strip()
-
-
 def _int_list(text: str) -> tuple:
-    return tuple(int(p.strip()) for p in text.split(",") if p.strip())
+    return tuple(int(p) for p in text.split(",") if p.strip())
 
 
-# section -> key -> parser; the ModelConfig/TrainConfig field names are the
-# config keys, so the schema below is the whole vocabulary a file may use.
-# `channels` is left out: the clip renderer draws one channel.
-_SCHEMA = {
-    "model": {
-        "frames": _int, "height": _int, "width": _int, "patch": _int,
-        "dim": _int, "heads": _int, "mlp_dim": _int, "blocks": _int,
-        "cond_vocab": _int, "timesteps": _int, "schedule": _str, "fps": _float,
-    },
-    "train": {
-        "steps": _int, "batch_size": _int, "lr_peak": _float,
-        "warmup_steps": _int, "alpha_train": _float, "loss_lambda": _float,
-        "seed": _int,
-    },
-    "data": {"conditions": _int_list, "jitter": _float},
-    "paths": {"checkpoints": _str, "reports": _str},
-}
+# every field of the four records is a key, parsed by its declared type, but
+# `channels` (the renderer draws one channel) and `dtype` (checkpoints are
+# float32 only); the schema is the whole vocabulary a file may use
+_PARSERS = {"int": int, "float": float, "str": str, "Path": Path, "tuple": _int_list}
+_SCHEMA = {section: {f.name: _PARSERS[f.type] for f in fields(record)
+                     if f.name not in ("channels", "dtype")}
+           for section, record in (("model", ModelConfig), ("train", TrainConfig),
+                                   ("data", DataConfig), ("paths", PathsConfig))}
 
 
 def _line_of(lines: list[str], section: str, key: str | None = None) -> int | None:
@@ -87,7 +71,7 @@ def _line_of(lines: list[str], section: str, key: str | None = None) -> int | No
             in_section = stripped == f"[{section}]"
         elif key is not None and in_section:
             head = stripped.split("=", 1)[0].split(":", 1)[0].strip()
-            if head == key:
+            if head.lower() == key:  # configparser lowercases every key it reads
                 return i
     return None
 
@@ -141,7 +125,7 @@ def load_config(path) -> ExperimentConfig:
                 raise ConfigError(
                     f"unknown key '{key}' in [{section}]{_loc(lines, section, key)}")
             try:
-                values[section][key] = parse(raw)
+                values[section][key] = parse(raw.strip())
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value for '{key}' in [{section}]"
@@ -156,13 +140,6 @@ def load_config(path) -> ExperimentConfig:
     model = build("model", ModelConfig)
     train = build("train", TrainConfig)
     data = build("data", DataConfig)
-    if not data.conditions:
-        raise ConfigError("data conditions must list at least one id")
-    bad = [c for c in data.conditions if not 0 <= c < NUM_CONDITIONS]
-    if bad:
-        raise ConfigError(f"condition ids {bad} outside [0, {NUM_CONDITIONS})")
-    if not 0.0 <= data.jitter <= 0.1:
-        raise ConfigError(f"data jitter must lie in [0, 0.1], got {data.jitter}")
 
     paths = {key: resolve_path(values["paths"].get(key, getattr(PathsConfig, key)))
              for key in _SCHEMA["paths"]}

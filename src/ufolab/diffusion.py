@@ -4,10 +4,11 @@ The loss is the standard hybrid for a learnable covariance: a plain MSE on
 the noise estimate plus a small variational term (KL against the forward
 posterior per step, Gaussian NLL at t = 1, both in nats).  Inside the
 variational term the noise estimate is detached, so its gradient reaches
-only the variance head.  The sampler walks a re-spaced sub-chain of the
-training schedule; every generated video is a pure function of
-(weights, adapter stack, condition id, seed, step count) and does not depend
-on what else shares its batch.
+only the variance head; the posterior means are NumPy, from per-clip
+coefficients, and only the log-variance is taped.  The sampler walks a
+re-spaced sub-chain of the training schedule; every generated video is a
+pure function of (weights, adapter stack, condition id, seed, step count)
+and does not depend on what else shares its batch.
 """
 
 from __future__ import annotations
@@ -27,12 +28,6 @@ DEFAULT_SAMPLE_STEPS = 30
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _bcast(values: np.ndarray, shape: tuple, dtype) -> Tensor:
-    """Per-batch scalars expanded to the full batch shape as a constant."""
-    arr = np.asarray(values, dtype=dtype).reshape((-1,) + (1,) * (len(shape) - 1))
-    return Tensor(np.ascontiguousarray(np.broadcast_to(arr, shape)))
-
-
 def training_losses(model: DiffusionModel, z0: np.ndarray, t: np.ndarray,
                     cond: np.ndarray, eps: np.ndarray, stack=None,
                     lambda_vlb: float = LAMBDA_VLB) -> dict:
@@ -40,9 +35,8 @@ def training_losses(model: DiffusionModel, z0: np.ndarray, t: np.ndarray,
 
     Returns {"loss", "l_simple", "l_vlb"} as scalar tensors sharing one graph.
     """
-    cfg = model.config
     sched = model.sched
-    dt = cfg.np_dtype
+    dt = model.config.np_dtype
     z0 = np.asarray(z0, dtype=dt)
     eps = np.asarray(eps, dtype=dt)
     t = np.asarray(t)
@@ -52,40 +46,38 @@ def training_losses(model: DiffusionModel, z0: np.ndarray, t: np.ndarray,
     l_simple = T.tmean(T.square(T.sub(eps_hat, Tensor(eps))))
 
     ti = t - 1
-    full = z0.shape
-    bshape = (full[0],) + (1,) * (z0.ndim - 1)
+    bshape = (z0.shape[0],) + (1,) * (z0.ndim - 1)
+
+    def per_clip(values):
+        return np.asarray(values, dtype=dt).reshape(bshape)
+
+    def full_batch(values):  # elementwise tensor ops take equal shapes only
+        return Tensor(np.broadcast_to(per_clip(values), z0.shape).copy())
+
+    # posterior means from the *detached* noise estimate (p) and from z0 (q)
+    abar = sched.alpha_bar[ti]
+    x0_hat = z_t * per_clip(1.0 / np.sqrt(abar)) \
+        - eps_hat.data * per_clip(np.sqrt(1.0 - abar) / np.sqrt(abar))
+    mean_p = x0_hat * per_clip(sched.mean_coef_x0[ti]) + z_t * per_clip(sched.mean_coef_zt[ti])
+    mean_q = (sched.mean_coef_x0[ti].reshape(bshape) * z0
+              + sched.mean_coef_zt[ti].reshape(bshape) * z_t).astype(dt)  # float64 sum
+    sq_kl = np.square(mean_q - mean_p)
+    sq_nll = np.square(z0 - mean_p)
+
     # interpolated log-variance, driven by the sigma head only
     frac = T.mul(T.add(v, 1.0), 0.5)
-    log_beta = _bcast(np.log(sched.betas[ti]), full, dt)
-    log_post = _bcast(sched.posterior_logvar[ti], full, dt)
-    logvar_p = T.add(T.mul(frac, log_beta), T.mul(T.sub(1.0, frac), log_post))
+    log_beta = full_batch(np.log(sched.betas[ti]))
+    logvar_q = full_batch(sched.posterior_logvar[ti])
+    logvar_p = T.add(T.mul(frac, log_beta), T.mul(T.sub(1.0, frac), logvar_q))
 
-    # posterior mean from the *detached* noise estimate
-    abar = sched.alpha_bar[ti]
-    rec_a = _bcast(1.0 / np.sqrt(abar), full, dt)
-    rec_b = _bcast(np.sqrt(1.0 - abar) / np.sqrt(abar), full, dt)
-    zt_t = Tensor(z_t)
-    x0_hat = T.sub(T.mul(zt_t, rec_a), T.mul(eps_hat.detach(), rec_b))
-    c_x0 = _bcast(sched.mean_coef_x0[ti], full, dt)
-    c_zt = _bcast(sched.mean_coef_zt[ti], full, dt)
-    mean_p = T.add(T.mul(x0_hat, c_x0), T.mul(zt_t, c_zt))
-
-    # true forward posterior q(z_{t-1} | z_t, z0)
-    mean_q = sched.mean_coef_x0[ti].reshape(bshape) * z0 \
-        + sched.mean_coef_zt[ti].reshape(bshape) * z_t
-    logvar_q = _bcast(sched.posterior_logvar[ti], full, dt)
-
-    diff_kl = T.sub(Tensor(mean_q.astype(dt)), mean_p)
     kl = T.mul(T.add(T.add(T.sub(logvar_p, logvar_q), -1.0),
                      T.add(T.exp(T.sub(logvar_q, logvar_p)),
-                           T.mul(T.square(diff_kl), T.exp(T.neg(logvar_p))))), 0.5)
-
-    diff_nll = T.sub(Tensor(z0), mean_p)
+                           T.mul(sq_kl, T.exp(T.neg(logvar_p))))), 0.5)
     nll = T.mul(T.add(T.add(logvar_p, _LOG_2PI),
-                      T.mul(T.square(diff_nll), T.exp(T.neg(logvar_p)))), 0.5)
+                      T.mul(sq_nll, T.exp(T.neg(logvar_p)))), 0.5)
 
-    is_first = _bcast((t == 1).astype(np.float64), full, dt)
-    per_elem = T.add(T.mul(is_first, nll), T.mul(T.sub(1.0, is_first), kl))
+    is_first = full_batch(t == 1)
+    per_elem = T.add(T.mul(is_first, nll), T.mul(1.0 - is_first.data, kl))
     l_vlb = T.tmean(per_elem)
 
     loss = T.add(l_simple, T.mul(l_vlb, float(lambda_vlb)))
@@ -120,8 +112,8 @@ def sample(model: DiffusionModel, cond, seeds, stack=None,
            steps: int = DEFAULT_SAMPLE_STEPS) -> np.ndarray:
     """Generate one video per (condition, seed) pair; returns (B, F, H, W, C) in [0, 1].
 
-    Seeds must be integers >= 0 and `steps` may not exceed the model's
-    timesteps (ContractError).  A state that turns NaN or infinite raises
+    At least one pair is needed, seeds must be integers >= 0 and `steps` may
+    not exceed the model's timesteps (ContractError).  A state that turns NaN or infinite raises
     NumericError naming the step.
     """
     cfg = model.config
@@ -129,6 +121,8 @@ def sample(model: DiffusionModel, cond, seeds, stack=None,
     seeds = np.atleast_1d(np.asarray(seeds))
     if cond.shape != seeds.shape or cond.ndim != 1:
         raise ContractError(f"cond {cond.shape} and seeds {seeds.shape} must be equal-length 1-D")
+    if cond.size == 0:
+        raise ContractError("sample needs at least one (condition, seed) pair, got none")
     if not np.issubdtype(seeds.dtype, np.integer) or (seeds < 0).any():
         raise ContractError(f"seeds must be integers >= 0, got {seeds.tolist()}")
     batch = cond.shape[0]

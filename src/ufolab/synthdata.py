@@ -42,14 +42,33 @@ class ConditionSpec:
     palette: int
 
 
-def _is_index(value) -> bool:
-    """Whether `value` is an integer >= 0: a Python or NumPy integer, never a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
+def _is_index(value, end=float("inf")) -> bool:
+    """Whether `value` is an integer in [0, end): a Python or NumPy integer, never a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and 0 <= value < end
+
+
+def check_conditions(conditions) -> tuple:
+    """The ids of a condition list as ints, or ContractError unless it is a
+    non-empty list, tuple, range or 1-D array of integers in [0, NUM_CONDITIONS)."""
+    if isinstance(conditions, np.ndarray) and conditions.ndim == 1:
+        conditions = conditions.tolist()
+    if not isinstance(conditions, (list, tuple, range)) or len(conditions) == 0:
+        raise ContractError(f"conditions must be a list of at least one id, got {conditions!r}")
+    bad = [c for c in conditions if not _is_index(c, NUM_CONDITIONS)]
+    if bad:
+        raise ContractError(f"condition ids {bad} are not integers in [0, {NUM_CONDITIONS})")
+    return tuple(int(c) for c in conditions)
+
+
+def check_jitter(jitter) -> None:
+    """ContractError unless the appearance jitter lies in [0, 0.1]."""
+    if not 0.0 <= jitter <= 0.1:
+        raise ContractError(f"jitter must lie in [0, 0.1], got {jitter}")
 
 
 def describe_condition(cond: int) -> ConditionSpec:
     """Decode a condition id; ids enumerate (shape, motion, palette) triples."""
-    if not (_is_index(cond) and cond < NUM_CONDITIONS):
+    if not _is_index(cond, NUM_CONDITIONS):
         raise ContractError(f"condition must be an integer in [0, {NUM_CONDITIONS}), got {cond!r}")
     cond = int(cond)
     return ConditionSpec(
@@ -119,8 +138,7 @@ def render_clip(cond: int, seed: int, frames: int = 8, height: int = 16,
     if frames < 2 or height < 8 or width < 8:
         raise ContractError(f"geometry too small: frames={frames}, {height}x{width}")
     _check_fits(program, height, width)
-    if not 0.0 <= jitter <= 0.1:
-        raise ContractError(f"jitter must lie in [0, 0.1], got {jitter}")
+    check_jitter(jitter)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(cond)]))
     bg_level, fg_level = PALETTES[program.palette]
 
@@ -232,20 +250,25 @@ def clip_stream(batch_size: int, seed: int, conditions=None, static: bool = Fals
 
     `static` rebuilds each clip from its own first frame (consistency targets);
     `style` restyles each clip after rendering.  Both are pure functions of
-    (seed, conditions), so a stream is exactly reproducible.
+    (seed, conditions), so a stream is exactly reproducible.  The batch size,
+    seed and condition ids, and the frame size each listed condition needs,
+    are checked when the stream is made (ContractError), not at its first batch.
     """
-    if batch_size < 1:
-        raise ContractError(f"batch_size must be >= 1, got {batch_size}")
-    conds_pool = np.asarray(DEFAULT_CONDITIONS if conditions is None else conditions,
-                            dtype=int)
-    if conds_pool.ndim != 1 or len(conds_pool) == 0:
-        raise ContractError("conditions must be a non-empty 1-D id list")
-    for c in conds_pool:  # render_clip draws 16x16 unless told otherwise
+    if not (_is_index(batch_size) and batch_size >= 1):
+        raise ContractError(f"batch_size must be an integer >= 1, got {batch_size!r}")
+    if not _is_index(seed):
+        raise ContractError(f"seed must be an integer >= 0, got {seed!r}")
+    pool = np.asarray(check_conditions(DEFAULT_CONDITIONS if conditions is None else conditions),
+                      dtype=int)
+    for c in pool:  # render_clip draws 16x16 unless told otherwise
         _check_fits(describe_condition(c), render_kwargs.get("height", 16),
                     render_kwargs.get("width", 16))
-    rng = np.random.default_rng(seed)
+    return _batches(batch_size, np.random.default_rng(seed), pool, static, style, render_kwargs)
+
+
+def _batches(batch_size, rng, pool, static, style, render_kwargs):
     while True:
-        conds = conds_pool[rng.integers(0, len(conds_pool), size=batch_size)]
+        conds = pool[rng.integers(0, len(pool), size=batch_size)]
         clip_seeds = rng.integers(0, 2 ** 31, size=batch_size)
         batch = []
         for c, s in zip(conds, clip_seeds):

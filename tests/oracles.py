@@ -9,7 +9,10 @@ per-candidate block-matching loop that the vectorised flow must reproduce
 bit for bit.  `gelu_oracle`, `softmax_oracle` and `layernorm_oracle` are
 the plain-expression formulas, forward and vjp, that the in-place kernels
 of `ufolab.tensor` must reproduce bit for bit; `attention_oracle` is the
-unfused chain of tensor ops that `T.attention` replaces.  `poke_payload` damages a
+unfused chain of tensor ops that `T.attention` replaces.
+`training_losses_oracle` is the hybrid loss with every posterior term pushed
+through the tensor ops as a full-batch constant; `diffusion.training_losses`
+must give its loss and gradients bit for bit.  `poke_payload` damages a
 saved container the way the savers never would, for the loaders' tests.
 """
 
@@ -24,7 +27,10 @@ import numpy as np
 
 from ufolab import tensor as T
 from ufolab.adapter import AdapterLayer, AdapterStack, UfoAdapter
+from ufolab.diffusion import LAMBDA_VLB
 from ufolab.errors import ContractError, DimensionError
+from ufolab.model import forward
+from ufolab.schedule import diffuse
 from ufolab.tensor import Tensor
 
 
@@ -211,6 +217,62 @@ def attention_oracle(q, k, v, heads: int, scale: float, g, needs=(True, True, Tr
             if part is not None and inp.requires_grad:
                 flowing[id(inp)] = part
     return (out.data,) + tuple(flowing.get(id(x)) for x in leaves)
+
+
+def _bcast(values, shape: tuple, dtype) -> Tensor:
+    """Per-batch scalars expanded to the full batch shape as a constant."""
+    arr = np.asarray(values, dtype=dtype).reshape((-1,) + (1,) * (len(shape) - 1))
+    return Tensor(np.ascontiguousarray(np.broadcast_to(arr, shape)))
+
+
+def training_losses_oracle(model, z0, t, cond, eps, stack=None, lambda_vlb=LAMBDA_VLB) -> dict:
+    """{"loss", "l_simple", "l_vlb"} of the hybrid loss, every term a tensor op."""
+    sched = model.sched
+    dt = model.config.np_dtype
+    z0 = np.asarray(z0, dtype=dt)
+    eps = np.asarray(eps, dtype=dt)
+    t = np.asarray(t)
+    z_t = diffuse(z0, t, eps, sched)
+
+    eps_hat, v = forward(model, z_t, t, cond, stack)
+    l_simple = T.tmean(T.square(T.sub(eps_hat, Tensor(eps))))
+
+    ti = t - 1
+    full = z0.shape
+    bshape = (full[0],) + (1,) * (z0.ndim - 1)
+    frac = T.mul(T.add(v, 1.0), 0.5)
+    log_beta = _bcast(np.log(sched.betas[ti]), full, dt)
+    log_post = _bcast(sched.posterior_logvar[ti], full, dt)
+    logvar_p = T.add(T.mul(frac, log_beta), T.mul(T.sub(1.0, frac), log_post))
+
+    abar = sched.alpha_bar[ti]
+    rec_a = _bcast(1.0 / np.sqrt(abar), full, dt)
+    rec_b = _bcast(np.sqrt(1.0 - abar) / np.sqrt(abar), full, dt)
+    zt_t = Tensor(z_t)
+    x0_hat = T.sub(T.mul(zt_t, rec_a), T.mul(eps_hat.detach(), rec_b))
+    c_x0 = _bcast(sched.mean_coef_x0[ti], full, dt)
+    c_zt = _bcast(sched.mean_coef_zt[ti], full, dt)
+    mean_p = T.add(T.mul(x0_hat, c_x0), T.mul(zt_t, c_zt))
+
+    mean_q = sched.mean_coef_x0[ti].reshape(bshape) * z0 \
+        + sched.mean_coef_zt[ti].reshape(bshape) * z_t
+    logvar_q = _bcast(sched.posterior_logvar[ti], full, dt)
+
+    diff_kl = T.sub(Tensor(mean_q.astype(dt)), mean_p)
+    kl = T.mul(T.add(T.add(T.sub(logvar_p, logvar_q), -1.0),
+                     T.add(T.exp(T.sub(logvar_q, logvar_p)),
+                           T.mul(T.square(diff_kl), T.exp(T.neg(logvar_p))))), 0.5)
+
+    diff_nll = T.sub(Tensor(z0), mean_p)
+    nll = T.mul(T.add(T.add(logvar_p, np.log(2.0 * np.pi)),
+                      T.mul(T.square(diff_nll), T.exp(T.neg(logvar_p)))), 0.5)
+
+    is_first = _bcast((t == 1).astype(np.float64), full, dt)
+    per_elem = T.add(T.mul(is_first, nll), T.mul(T.sub(1.0, is_first), kl))
+    l_vlb = T.tmean(per_elem)
+
+    loss = T.add(l_simple, T.mul(l_vlb, float(lambda_vlb)))
+    return {"loss": loss, "l_simple": l_simple, "l_vlb": l_vlb}
 
 
 def poke_payload(path, index: int, value: float) -> None:

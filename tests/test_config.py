@@ -16,7 +16,7 @@ from ufolab.config import (
     load_config,
     resolve_path,
 )
-from ufolab.errors import ConfigError
+from ufolab.errors import ConfigError, ContractError
 from ufolab.model import ModelConfig
 from ufolab.train import TrainConfig
 
@@ -77,6 +77,9 @@ def test_unknown_key_reports_line(tmp_path):
         load_config(path)
     msg = str(err.value)
     assert "learning_rate" in msg and "[train]" in msg and "line 4" in msg
+    # configparser lowercases keys, so the line lookup must too
+    with pytest.raises(ConfigError, match=r"unknown key 'foo' in \[model\] \(line 3\)"):
+        load_config(write(tmp_path, "[model]\nFrames = 4\nFOO = 3\n"))
 
 
 def test_unknown_section_rejected(tmp_path):
@@ -87,30 +90,38 @@ def test_unknown_section_rejected(tmp_path):
 
 
 def test_bad_value_reports_key_and_line(tmp_path):
-    path = write(tmp_path, "[train]\nsteps = plenty\n")
-    with pytest.raises(ConfigError) as err:
-        load_config(path)
-    assert "steps" in str(err.value) and "line 2" in str(err.value)
+    for key, value in (("steps", "plenty"), ("STEPS", "plenty"), ("seed", "True"),
+                       ("seed", "1.5"), ("batch_size", "2.0")):
+        path = write(tmp_path, f"[train]\n{key} = {value}\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert f"'{key.lower()}'" in str(err.value) and "line 2" in str(err.value)
 
 
 def test_domain_violations_become_config_errors(tmp_path):
     # ModelConfig contract failure (heads must divide dim)
     with pytest.raises(ConfigError, match=r"invalid \[model\]"):
         load_config(write(tmp_path, "[model]\ndim = 10\nheads = 4\n"))
-    with pytest.raises(ConfigError, match=r"invalid \[train\]"):
-        load_config(write(tmp_path, "[train]\nsteps = 5\nwarmup_steps = 9\n"))
+    for bad in ("steps = 5\nwarmup_steps = 9", "seed = -1", "batch_size = 0"):
+        with pytest.raises(ConfigError, match=r"invalid \[train\]"):
+            load_config(write(tmp_path, f"[train]\n{bad}\n"))
     for bad in ("fps = nan", "fps = -1", "timesteps = 1", "patch = 0", "heads = 0"):
         with pytest.raises(ConfigError, match=r"invalid \[model\]"):
             load_config(write(tmp_path, f"[model]\n{bad}\n"))
 
 
-def test_schema_keys_are_fields_of_their_records():
-    # each section is built as record(**values), so no key can raise TypeError there
+def test_schema_keys_are_the_fields_of_their_records():
+    # each section is built as record(**values), so no key can raise TypeError
+    # there, and every field but the model's channels and dtype is a key
     records = {"model": ModelConfig, "train": TrainConfig, "data": DataConfig,
                "paths": PathsConfig}
     assert set(records) == set(_SCHEMA)
     for section, record in records.items():
-        assert set(_SCHEMA[section]) <= {f.name for f in dataclasses.fields(record)}, section
+        names = {f.name for f in dataclasses.fields(record)}
+        assert set(_SCHEMA[section]) <= names, section
+        assert names - set(_SCHEMA[section]) == ({"channels", "dtype"} if section == "model"
+                                                 else set()), section
+    assert sum(map(len, _SCHEMA.values())) == 23
 
 
 def test_data_checks(tmp_path):
@@ -120,6 +131,11 @@ def test_data_checks(tmp_path):
         load_config(write(tmp_path, "[data]\nconditions = ,\n"))
     with pytest.raises(ConfigError, match="jitter"):
         load_config(write(tmp_path, "[data]\njitter = 0.5\n"))
+    # the record applies the rules itself, as clip_stream does
+    for bad in ({"conditions": (2.7, True)}, {"conditions": (0, 36)}, {"conditions": ()},
+                {"jitter": 0.5}, {"jitter": True}):
+        with pytest.raises(ContractError):
+            DataConfig(**bad)
 
 
 def test_output_root_env_anchors_relative_paths(tmp_path, monkeypatch):

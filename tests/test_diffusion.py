@@ -2,11 +2,15 @@
 
 The variational-term oracle below is written in plain numpy against the
 schedule arrays; its Gaussian KL/NLL formulas are themselves validated by
-numerical integration before being trusted.
+numerical integration before being trusted.  `training_losses_oracle` is the
+same loss as a chain of tensor ops, which the loss must match bit for bit.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
+from oracles import training_losses_oracle
 
 from ufolab import tensor as T
 from ufolab.adapter import compose, init_adapter
@@ -133,6 +137,40 @@ def test_vlb_gradient_reaches_only_the_variance_head():
     assert np.array_equal(eps_w.grad, simple_grad)
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("adapted", [False, True])
+def test_loss_and_gradients_match_the_tensor_chain_bit_for_bit(dtype, adapted):
+    cfg = dataclasses.replace(TINY, height=8, width=8, dim=16, heads=4, mlp_dim=32,
+                              blocks=2, timesteps=20, dtype=dtype)
+    model = build_model(cfg, seed=9)
+    rng = np.random.default_rng(10)
+    for p in ("head_eps.w", "head_sigma.w", "head_sigma.b"):
+        model.params[p].data[...] = rng.normal(size=model.params[p].shape) * 0.3
+    stack, leaves = None, model.params
+    if adapted:  # a rank-4 stack at alpha = 1, trained with the base frozen
+        adapter = init_adapter(model, rank=4, seed=11)
+        for layer in adapter.layers.values():
+            layer.v_cor.data[...] = rng.normal(size=layer.v_cor.shape) * 0.2
+        for p in model.params.values():
+            p.requires_grad = False
+        adapter.set_trainable(True)
+        stack, leaves = compose(model, [(adapter, 1.0)]), adapter.parameters()
+    z0, eps, t, cond = batch(12, model, batch_size=4)
+    for t in (t, np.array([1, 7, 1, 1])):  # the second batch takes the NLL branch thrice
+        seen = []
+        for losses in (training_losses, training_losses_oracle):
+            for p in leaves.values():
+                p.grad = None
+            with T.recording() as tape:
+                out = losses(model, z0, t, cond, eps, stack=stack)
+                T.backward(out["loss"])
+            seen.append(({k: (x.dtype, x.data.tobytes()) for k, x in out.items()},
+                         {k: (p.grad.dtype, p.grad.tobytes()) for k, p in leaves.items()},
+                         len(tape.nodes)))
+        assert seen[0] == seen[1], t
+        assert any(np.any(p.grad != 0.0) for p in leaves.values())
+
+
 def test_loss_shape_contract():
     model = build_model(TINY, seed=0)
     z0, eps, t, cond = batch(8, model)
@@ -234,6 +272,8 @@ def test_sampler_seed_contract():
     for bad in ([-1], [2.7], [True]):
         with pytest.raises(ContractError, match="seeds"):
             sample(model, cond=[1], seeds=bad, steps=2)
+    with pytest.raises(ContractError, match=r"at least one \(condition, seed\) pair"):
+        sample(model, cond=[], seeds=[], steps=2)
 
 
 def test_sampler_rejects_more_steps_than_timesteps():

@@ -98,9 +98,9 @@ def test_geometry_an_oscillation_cannot_fit_is_a_contract_error():
 
 def test_clip_stream_checks_its_pool_before_the_first_batch():
     with pytest.raises(ContractError, match="condition 5 .* at least 9x13, got 16x12"):
-        next(clip_stream(2, seed=1, conditions=[0, 5], height=16, width=12))
+        clip_stream(2, seed=1, conditions=[0, 5], height=16, width=12)
     with pytest.raises(ContractError, match="condition 3 .* at least 11x11, got 8x8"):
-        next(clip_stream(2, seed=1, conditions=[3], height=8, width=8))
+        clip_stream(2, seed=1, conditions=[3], height=8, width=8)
     clips, _ = next(clip_stream(2, seed=1, conditions=[0, 1, 2, 6], height=8, width=8))
     assert clips.shape == (2, 8, 8, 8, 1)
 
@@ -249,10 +249,27 @@ def test_clip_stream_is_reproducible_and_transformable():
     for _ in range(3):
         _, conds = next(stream)
         assert conds.tolist() == [3, 3]
-    with pytest.raises(ContractError):
-        next(clip_stream(0, seed=1))
-    with pytest.raises(ContractError):
-        next(clip_stream(2, seed=1, conditions=[]))
+    same = [(2, 5, range(4)), (np.int64(2), np.uint32(5), np.arange(4, dtype=np.int32)),
+            (2, 5, (0, np.int64(1), 2, 3))]
+    firsts = [next(clip_stream(b, seed=s, conditions=c)) for b, s, c in same]
+    for clips, conds in firsts[1:]:
+        assert clips.tobytes() == firsts[0][0].tobytes()
+        assert conds.dtype == firsts[0][1].dtype and np.array_equal(conds, firsts[0][1])
+
+    # refused when the stream is made: ids went through int(), so [2.7, True]
+    # read as [2, 1], seed=True seeded as 1, and a fraction or a bool batch
+    # size failed inside NumPy at the first batch
+    for bad, match in (({"conditions": [2.7, True]}, r"condition ids \[2.7, True\]"),
+                       ({"conditions": [2.0]}, "condition ids"),
+                       ({"conditions": [-1, 36]}, r"condition ids \[-1, 36\]"),
+                       ({"conditions": np.array([0.0, 1.0])}, "condition ids"),
+                       ({"conditions": np.array([[0, 1]])}, "at least one id"),
+                       ({"conditions": []}, "at least one id"), ({"conditions": 3}, "at least one id"),
+                       ({"seed": True}, "seed"), ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"),
+                       ({"batch_size": 0}, "batch_size"), ({"batch_size": True}, "batch_size"),
+                       ({"batch_size": 2.0}, "batch_size")):
+        with pytest.raises(ContractError, match=match):
+            clip_stream(**{"batch_size": 2, "seed": 1, **bad})
 
 
 def test_gen_moving_scene_matches_render_clip():
