@@ -60,7 +60,7 @@ def training_losses(model: DiffusionModel, z0: np.ndarray, t: np.ndarray,
         - eps_hat.data * per_clip(np.sqrt(1.0 - abar) / np.sqrt(abar))
     mean_p = x0_hat * per_clip(sched.mean_coef_x0[ti]) + z_t * per_clip(sched.mean_coef_zt[ti])
     mean_q = (sched.mean_coef_x0[ti].reshape(bshape) * z0
-              + sched.mean_coef_zt[ti].reshape(bshape) * z_t).astype(dt)  # float64 sum
+              + sched.mean_coef_zt[ti].reshape(bshape) * z_t).astype(dt)  # summed in float64
     sq_kl = np.square(mean_q - mean_p)
     sq_nll = np.square(z0 - mean_p)
 
@@ -113,8 +113,8 @@ def sample(model: DiffusionModel, cond, seeds, stack=None,
     """Generate one video per (condition, seed) pair; returns (B, F, H, W, C) in [0, 1].
 
     At least one pair is needed, seeds must be integers >= 0 and `steps` may
-    not exceed the model's timesteps (ContractError).  A state that turns NaN or infinite raises
-    NumericError naming the step.
+    not exceed the model's timesteps (ContractError).  A state that turns NaN
+    or infinite raises NumericError naming the step.
     """
     cfg = model.config
     cond = np.atleast_1d(np.asarray(cond))

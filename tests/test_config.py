@@ -110,7 +110,7 @@ def test_domain_violations_become_config_errors(tmp_path):
             load_config(write(tmp_path, f"[model]\n{bad}\n"))
 
 
-def test_schema_keys_are_the_fields_of_their_records():
+def test_schema_keys_are_fields_of_their_records():
     # each section is built as record(**values), so no key can raise TypeError
     # there, and every field but the model's channels and dtype is a key
     records = {"model": ModelConfig, "train": TrainConfig, "data": DataConfig,

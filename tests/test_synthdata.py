@@ -256,9 +256,8 @@ def test_clip_stream_is_reproducible_and_transformable():
         assert clips.tobytes() == firsts[0][0].tobytes()
         assert conds.dtype == firsts[0][1].dtype and np.array_equal(conds, firsts[0][1])
 
-    # refused when the stream is made: ids went through int(), so [2.7, True]
-    # read as [2, 1], seed=True seeded as 1, and a fraction or a bool batch
-    # size failed inside NumPy at the first batch
+    # refused when the stream is made, not truncated, read as 0 or 1, or left
+    # to fail inside NumPy at the first batch
     for bad, match in (({"conditions": [2.7, True]}, r"condition ids \[2.7, True\]"),
                        ({"conditions": [2.0]}, "condition ids"),
                        ({"conditions": [-1, 36]}, r"condition ids \[-1, 36\]"),
