@@ -111,23 +111,22 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _load_clips(flag, value):
+    folder = resolve_path(value)
+    if not folder.is_dir():
+        raise ContractError(f"{flag} {folder} is not a directory")
+    return [load_clip(p) for p in sorted(folder.glob("*.vclip"))]
+
+
 def cmd_evaluate(args) -> int:
-    vdir = resolve_path(args.videos)
-    if not vdir.is_dir():
-        raise ContractError(f"--videos {vdir} is not a directory")
-    paths = sorted(vdir.glob("*.vclip"))
-    videos = [load_clip(p) for p in paths]
+    videos = _load_clips("--videos", args.videos)
     baselines = None
     if args.baseline is not None:
-        bdir = resolve_path(args.baseline)
-        if not bdir.is_dir():
-            raise ContractError(f"--baseline {bdir} is not a directory")
-        bpaths = sorted(bdir.glob("*.vclip"))
-        if len(bpaths) != len(paths):
+        baselines = _load_clips("--baseline", args.baseline)
+        if len(baselines) != len(videos):
             raise ContractError(
-                f"baseline holds {len(bpaths)} clips but --videos holds {len(paths)}; "
+                f"baseline holds {len(baselines)} clips but --videos holds {len(videos)}; "
                 "the directories must be index-aligned")
-        baselines = [load_clip(p) for p in bpaths]
     report = evaluate_set(videos, baselines=baselines)
     out = resolve_path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

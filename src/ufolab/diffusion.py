@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, NumericError, is_number
+from .errors import ContractError, NumericError, check_ids, is_number
 from .model import DiffusionModel, forward
 from .schedule import Schedule, derive_schedule, diffuse
 from .tensor import Tensor
@@ -123,8 +123,7 @@ def sample(model: DiffusionModel, cond, seeds, stack=None,
         raise ContractError(f"cond {cond.shape} and seeds {seeds.shape} must be equal-length 1-D")
     if cond.size == 0:
         raise ContractError("sample needs at least one (condition, seed) pair, got none")
-    if not np.issubdtype(seeds.dtype, np.integer) or (seeds < 0).any():
-        raise ContractError(f"seeds must be integers >= 0, got {seeds.tolist()}")
+    check_ids(seeds, "seeds")
     batch = cond.shape[0]
     dt = cfg.np_dtype
     shape = (cfg.frames, cfg.height, cfg.width, cfg.channels)

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the one rule for field types."""
+"""Exception types shared across the package, and the rules for the numbers a caller hands in."""
 
 import dataclasses
+
+import numpy as np
 
 
 class UfolabError(Exception):
@@ -19,6 +21,23 @@ def is_number(value, kind: type = float) -> bool:
     """Whether `value` may fill a field declared `kind`: an int field holds an
     int, a float field an int or a float, and a bool is never a number."""
     return isinstance(value, int if kind is int else (int, float)) and not isinstance(value, bool)
+
+
+def is_index(value, end=np.inf) -> bool:
+    """Whether `value` is an integer in [0, end): a Python or NumPy integer, never a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and 0 <= value < end
+
+
+def check_ids(ids, name: str, low: int = 0, end=np.inf, shape=None) -> np.ndarray:
+    """`ids` as an array, or ContractError naming `name` unless it is an integer
+    array (a bool array is none) of `shape`, when given, with entries in [low, end)."""
+    ids = np.asarray(ids)
+    if (not np.issubdtype(ids.dtype, np.integer) or shape is not None and ids.shape != shape
+            or ids.size and (ids.min() < low or ids.max() >= end)):
+        bound = f">= {low}" if end == np.inf else f"in [{low}, {end - 1}]"
+        shaped = "" if shape is None else f" of shape {shape}"
+        raise ContractError(f"{name} must be integers {bound}{shaped}, got {ids!r}")
+    return ids
 
 
 def check_field_types(record) -> None:

@@ -122,7 +122,7 @@ def consistency_score(clip, region: str = "subject", mask=None) -> float:
 # block-matching flow
 # ---------------------------------------------------------------------------
 
-def _flow(arr: np.ndarray, radius: int) -> tuple[np.ndarray, bool]:
+def _flow(arr: np.ndarray) -> tuple[np.ndarray, bool]:
     """Block flow for every consecutive pair of a finite float64 (F, H, W, C) stack.
 
     Returns ((F-1, Hb, Wb, 2) integer (dy, dx), saturated).  One vectorised
@@ -134,8 +134,7 @@ def _flow(arr: np.ndarray, radius: int) -> tuple[np.ndarray, bool]:
     do not depend on the layout.  Candidates are ranked by (magnitude, dy, dx)
     and `argmin` keeps the first of equal SADs, the smallest displacement.
     """
-    if radius < 0:
-        raise ContractError(f"flow radius must be >= 0, got {radius}")
+    radius = FLOW_RADIUS
     f, h, w, c = arr.shape
     if h % BLOCK or w % BLOCK:
         raise ContractError(f"frame size {h}x{w} must be divisible by block size {BLOCK}")
@@ -158,13 +157,13 @@ def _flow(arr: np.ndarray, radius: int) -> tuple[np.ndarray, bool]:
     return flows, bool(np.abs(flows).max() == radius)
 
 
-def estimate_flow(clip, radius: int = FLOW_RADIUS) -> tuple[np.ndarray, bool]:
+def estimate_flow(clip) -> tuple[np.ndarray, bool]:
     """Block-flow magnitude maps for every consecutive frame pair.
 
     Returns ((F-1, Hb, Wb) float64 magnitudes, saturated) where `saturated`
     reports whether any pair hit the search boundary.
     """
-    flows, saturated = _flow(_as_array(clip), radius)
+    flows, saturated = _flow(_as_array(clip))
     return np.sqrt((flows.astype(np.float64) ** 2).sum(axis=-1)), saturated
 
 

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, DimensionError, FormatError, check_field_types
+from .errors import ContractError, DimensionError, FormatError, check_field_types, check_ids
 from .fileio import read_container, unpack_arrays, write_container
 from .schedule import SCHEDULE_KINDS, Schedule, make_schedule
 from .tensor import Tensor
@@ -239,16 +239,8 @@ def forward(model: DiffusionModel, z_t, t, cond, stack=None) -> tuple[Tensor, Te
     if z_arr.ndim != 5 or z_arr.shape[1:] != expect:
         raise DimensionError(f"z_t shape {z_arr.shape} does not match (batch,) + {expect}")
     batch = z_arr.shape[0]
-    t = np.asarray(t)
-    cond = np.asarray(cond)
-    if t.shape != (batch,) or not np.issubdtype(t.dtype, np.integer):
-        raise ContractError(f"t must be {batch} integer timesteps, got shape {t.shape}")
-    if t.min() < 1 or t.max() > cfg.timesteps:
-        raise ContractError(f"timesteps must lie in [1, {cfg.timesteps}]")
-    if cond.shape != (batch,) or not np.issubdtype(cond.dtype, np.integer):
-        raise ContractError(f"cond must be {batch} integer ids, got shape {cond.shape}")
-    if cond.min() < 0 or cond.max() >= cfg.cond_vocab:
-        raise ContractError(f"condition ids must lie in [0, {cfg.cond_vocab})")
+    t = check_ids(t, "t", 1, cfg.timesteps + 1, (batch,))
+    cond = check_ids(cond, "cond", 0, cfg.cond_vocab, (batch,))
     if stack is not None:
         stack.check_model(model)
     _keep_freed_heap_pages()

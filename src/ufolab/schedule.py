@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, is_number
+from .errors import ContractError, check_ids, is_number
 
 SCHEDULE_KINDS = ("cosine", "scaled_linear")
 _MAX_BETA = 0.999
@@ -83,13 +83,7 @@ def diffuse(z0: np.ndarray, t: np.ndarray, eps: np.ndarray, sched: Schedule) -> 
 
     `t` holds 1-based step indices, one per leading-batch element.
     """
-    t = np.asarray(t)
-    if not np.issubdtype(t.dtype, np.integer):
-        raise ContractError(f"timesteps must be integers, got dtype {t.dtype}")
-    if t.ndim != 1 or t.shape[0] != z0.shape[0]:
-        raise ContractError(f"need one timestep per batch element, got {t.shape} for batch {z0.shape[0]}")
-    if t.size and (t.min() < 1 or t.max() > sched.steps):
-        raise ContractError(f"timesteps must lie in [1, {sched.steps}]")
+    t = check_ids(t, "t", 1, sched.steps + 1, (z0.shape[0],))
     if z0.shape != eps.shape:
         raise ContractError(f"z0 shape {z0.shape} and eps shape {eps.shape} differ")
     abar = sched.alpha_bar[t - 1].astype(z0.dtype)

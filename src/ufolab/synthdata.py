@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, is_index
 from .video import Clip
 
 SHAPES = ("square", "disk", "bar")
@@ -42,11 +42,6 @@ class ConditionSpec:
     palette: int
 
 
-def _is_index(value, end=float("inf")) -> bool:
-    """Whether `value` is an integer in [0, end): a Python or NumPy integer, never a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and 0 <= value < end
-
-
 def check_conditions(conditions) -> tuple:
     """The ids of a condition list as ints, or ContractError unless it is a
     non-empty list, tuple, range or 1-D array of integers in [0, NUM_CONDITIONS)."""
@@ -54,7 +49,7 @@ def check_conditions(conditions) -> tuple:
         conditions = conditions.tolist()
     if not isinstance(conditions, (list, tuple, range)) or len(conditions) == 0:
         raise ContractError(f"conditions must be a list of at least one id, got {conditions!r}")
-    bad = [c for c in conditions if not _is_index(c, NUM_CONDITIONS)]
+    bad = [c for c in conditions if not is_index(c, NUM_CONDITIONS)]
     if bad:
         raise ContractError(f"condition ids {bad} are not integers in [0, {NUM_CONDITIONS})")
     return tuple(int(c) for c in conditions)
@@ -68,7 +63,7 @@ def check_jitter(jitter) -> None:
 
 def describe_condition(cond: int) -> ConditionSpec:
     """Decode a condition id; ids enumerate (shape, motion, palette) triples."""
-    if not _is_index(cond, NUM_CONDITIONS):
+    if not is_index(cond, NUM_CONDITIONS):
         raise ContractError(f"condition must be an integer in [0, {NUM_CONDITIONS}), got {cond!r}")
     cond = int(cond)
     return ConditionSpec(
@@ -109,6 +104,21 @@ def _check_fits(program: ConditionSpec, height: int, width: int) -> None:
                             f"frames of at least {2 * ey + 7}x{2 * ex + 7}, got {height}x{width}")
 
 
+def _check_render(seed, programs, frames, height, width, jitter, style=None) -> None:
+    """ContractError unless the seed is an integer >= 0, the geometry integers of at least 2
+    frames of 8x8 that each program fits, the jitter in [0, 0.1] and the style None or in STYLES."""
+    if not is_index(seed):
+        raise ContractError(f"seed must be an integer >= 0, got {seed!r}")
+    if not all(map(is_index, (frames, height, width))) or frames < 2 or min(height, width) < 8:
+        raise ContractError(f"geometry must be integers of at least 2 frames of 8x8, "
+                            f"got frames={frames!r}, {height!r}x{width!r}")
+    for program in programs:
+        _check_fits(program, height, width)
+    check_jitter(jitter)
+    if style is not None and style not in STYLES:
+        raise ContractError(f"unknown style {style!r}; choose from {STYLES}")
+
+
 def _edge_of(mask: np.ndarray) -> np.ndarray:
     """Boundary ring: mask pixels with at least one off-mask 4-neighbour."""
     inner = mask.copy()
@@ -129,16 +139,10 @@ def _start_range(size: int, margin: int, v: int, frames: int) -> tuple[int, int]
 
 
 def render_clip(cond: int, seed: int, frames: int = 8, height: int = 16,
-                width: int = 16, fps: float = 8.0,
-                jitter: float = DEFAULT_JITTER) -> tuple[Clip, np.ndarray]:
-    """Render one clip; returns (clip, per-frame object masks (F, H, W) bool)."""
+                width: int = 16, jitter: float = DEFAULT_JITTER) -> tuple[Clip, np.ndarray]:
+    """Render one clip at 8 fps; returns (clip, per-frame object masks (F, H, W) bool)."""
     program = describe_condition(cond)
-    if not _is_index(seed):
-        raise ContractError(f"seed must be an integer >= 0, got {seed!r}")
-    if frames < 2 or height < 8 or width < 8:
-        raise ContractError(f"geometry too small: frames={frames}, {height}x{width}")
-    _check_fits(program, height, width)
-    check_jitter(jitter)
+    _check_render(seed, [program], frames, height, width, jitter)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(cond)]))
     bg_level, fg_level = PALETTES[program.palette]
 
@@ -196,8 +200,7 @@ def render_clip(cond: int, seed: int, frames: int = 8, height: int = 16,
         data[t, :, :, 0] = frame
         masks[t] = mask
     data = np.rint(np.clip(data, 0.0, 1.0) * _GRID) / _GRID
-    clip = Clip(data.astype(np.float32), fps=fps,
-                meta={"condition": int(cond), "seed": int(seed)})
+    clip = Clip(data.astype(np.float32), meta={"condition": int(cond), "seed": int(seed)})
     return clip, masks
 
 
@@ -212,8 +215,8 @@ def make_static_video(frame: np.ndarray, frames: int, fps: float = 8.0,
     frame = np.asarray(frame, dtype=np.float32)
     if frame.ndim != 3:
         raise ContractError(f"frame must be (height, width, channels), got {frame.shape}")
-    if frames < 1:
-        raise ContractError(f"frames must be >= 1, got {frames}")
+    if not (is_index(frames) and frames >= 1):
+        raise ContractError(f"frames must be an integer >= 1, got {frames!r}")
     data = np.repeat(frame[None], frames, axis=0)
     return Clip(data, fps=fps, meta=dict(meta or {}))
 
@@ -245,37 +248,33 @@ def apply_style(clip: Clip, style: str) -> Clip:
 
 
 def clip_stream(batch_size: int, seed: int, conditions=None, static: bool = False,
-                style: str | None = None, **render_kwargs):
+                style: str | None = None, frames: int = 8, height: int = 16, width: int = 16,
+                jitter: float = DEFAULT_JITTER):
     """Infinite iterator of training batches ((B, F, H, W, C) float32, cond ids).
 
-    `static` rebuilds each clip from its own first frame (consistency targets);
-    `style` restyles each clip after rendering.  Both are pure functions of
-    (seed, conditions), so a stream is exactly reproducible.  The batch size,
-    seed and condition ids, and the frame size each listed condition needs,
-    are checked when the stream is made (ContractError), not at its first batch.
+    `render_clip` draws each clip at the given geometry and jitter; `static`
+    rebuilds it from its own first frame (consistency targets) and `style`
+    restyles it.  A stream is a pure function of its arguments, each checked
+    when the stream is made (ContractError), not at its first batch.
     """
-    if not (_is_index(batch_size) and batch_size >= 1):
+    if not (is_index(batch_size) and batch_size >= 1):
         raise ContractError(f"batch_size must be an integer >= 1, got {batch_size!r}")
-    if not _is_index(seed):
-        raise ContractError(f"seed must be an integer >= 0, got {seed!r}")
-    pool = np.asarray(check_conditions(DEFAULT_CONDITIONS if conditions is None else conditions),
-                      dtype=int)
-    for c in pool:  # render_clip draws 16x16 unless told otherwise
-        _check_fits(describe_condition(c), render_kwargs.get("height", 16),
-                    render_kwargs.get("width", 16))
-    return _batches(batch_size, np.random.default_rng(seed), pool, static, style, render_kwargs)
+    pool = check_conditions(DEFAULT_CONDITIONS if conditions is None else conditions)
+    _check_render(seed, map(describe_condition, pool), frames, height, width, jitter, style)
+    render = {"frames": frames, "height": height, "width": width, "jitter": jitter}
+    return _batches(batch_size, np.random.default_rng(seed), np.asarray(pool, dtype=int),
+                    static, style, render)
 
 
-def _batches(batch_size, rng, pool, static, style, render_kwargs):
+def _batches(batch_size, rng, pool, static, style, render):
     while True:
         conds = pool[rng.integers(0, len(pool), size=batch_size)]
         clip_seeds = rng.integers(0, 2 ** 31, size=batch_size)
         batch = []
         for c, s in zip(conds, clip_seeds):
-            clip = gen_moving_scene(int(c), int(s), **render_kwargs)
+            clip = gen_moving_scene(int(c), int(s), **render)
             if static:
-                clip = make_static_video(clip.data[0], clip.frames, fps=clip.fps,
-                                         meta=clip.meta)
+                clip = make_static_video(clip.data[0], clip.frames, meta=clip.meta)
             if style is not None:
                 clip = apply_style(clip, style)
             batch.append(clip.data)

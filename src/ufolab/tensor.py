@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, check_ids
 
 __all__ = [
     "Tensor",
@@ -489,7 +489,7 @@ def attention(q, k, v, heads: int, scale: float) -> Tensor:
     return _record(out, (q, k, v), vjp)
 
 
-def layernorm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
+def layernorm(a, gamma, beta) -> Tensor:
     """Layer normalization over the last axis with affine parameters."""
     a, gamma, beta = _coerce(a), _coerce(gamma), _coerce(beta)
     n = a.shape[-1]
@@ -498,8 +498,8 @@ def layernorm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
             f"layernorm affine shapes {gamma.shape}/{beta.shape} do not match feature width ({n},)")
     xhat = np.subtract(a.data, np.mean(a.data, axis=-1, keepdims=True))
     y = np.multiply(xhat, xhat)
-    inv = 1.0 / np.sqrt(np.mean(y, axis=-1, keepdims=True) + eps)
-    xhat *= inv                            # xhat = (x - mu) / sqrt(var + eps)
+    inv = 1.0 / np.sqrt(np.mean(y, axis=-1, keepdims=True) + 1e-5)
+    xhat *= inv                            # xhat = (x - mu) / sqrt(var + 1e-5)
     np.multiply(xhat, gamma.data, out=y)
     y += beta.data
     out = Tensor(y)
@@ -526,13 +526,9 @@ def layernorm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
 def take_rows(table, ids) -> Tensor:
     """Row lookup ``table[ids]`` for an integer index array (not differentiable in ids)."""
     table = _coerce(table)
-    ids = np.asarray(ids)
-    if not np.issubdtype(ids.dtype, np.integer):
-        raise ContractError(f"take_rows indices must be integers, got dtype {ids.dtype}")
     if table.ndim != 2:
         raise DimensionError(f"take_rows expects a 2-D table, got {table.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise ContractError(f"take_rows index out of range for table with {table.shape[0]} rows")
+    ids = check_ids(ids, "take_rows ids", 0, table.shape[0])
     out = Tensor(table.data[ids])
 
     def vjp(g):

@@ -269,9 +269,11 @@ def test_sampler_seed_contract():
     model = build_model(TINY, seed=0)
     with pytest.raises(ContractError):
         sample(model, cond=[1, 2], seeds=[3], steps=2)
-    for bad in ([-1], [2.7], [True]):
+    for bad in ([-1], [2.7], [True], np.array([True])):
         with pytest.raises(ContractError, match="seeds"):
             sample(model, cond=[1], seeds=bad, steps=2)
+    assert np.array_equal(sample(model, cond=[1], seeds=np.array([3], dtype=np.int32), steps=2),
+                          sample(model, cond=[1], seeds=[3], steps=2))
     with pytest.raises(ContractError, match=r"at least one \(condition, seed\) pair"):
         sample(model, cond=[], seeds=[], steps=2)
 

@@ -105,6 +105,13 @@ def test_forward_contract_errors():
         forward(model, z, good_t, np.array([0, 4]))  # cond out of vocab
     with pytest.raises(ContractError):
         forward(model, z, np.array([1]), good_c)  # wrong batch length
+    # ids are integer arrays: a bool array is refused, an int32 one accepted
+    for t, c, name in ((np.array([True, True]), good_c, "t"), (good_t, np.array([False, True]), "cond")):
+        with pytest.raises(ContractError, match=rf"^{name} must be integers .* of shape \(2,\)"):
+            forward(model, z, t, c)
+    want = forward(model, z, good_t, good_c)[0].numpy()
+    got = forward(model, z, good_t.astype(np.int32), good_c.astype(np.int32))[0].numpy()
+    assert got.tobytes() == want.tobytes()
 
 
 def test_gradients_match_finite_differences_through_whole_network():

@@ -96,6 +96,11 @@ def test_diffuse_contract_errors():
         diffuse(z, np.array([1, 11]), z, sched)  # above range
     with pytest.raises(ContractError):
         diffuse(z, np.array([1.0, 2.0]), z, sched)  # non-integer
+    with pytest.raises(ContractError, match=r"^t must be integers in \[1, 10\] of shape \(2,\)"):
+        diffuse(z, np.array([True, True]), z, sched)  # a bool array is no timestep
+    ones = np.ones_like(z)
+    assert np.array_equal(diffuse(ones, np.array([1, 9], dtype=np.int32), ones, sched),
+                          diffuse(ones, np.array([1, 9]), ones, sched))
     with pytest.raises(ContractError):
         diffuse(z, np.array([1]), z, sched)  # wrong batch length
     with pytest.raises(ContractError):

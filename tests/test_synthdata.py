@@ -193,8 +193,9 @@ def test_make_static_video_duplicates_the_frame():
     assert np.abs(np.diff(clip.data, axis=0)).sum() == 0.0
     single = make_static_video(frame, 1)
     assert np.array_equal(single.data[0], frame)
-    with pytest.raises(ContractError):
-        make_static_video(frame, 0)
+    for bad in (0, 2.5, True):  # refused, not truncated or read as 1
+        with pytest.raises(ContractError, match="frames"):
+            make_static_video(frame, bad)
     with pytest.raises(ContractError):
         make_static_video(frame[:, :, 0], 4)
 
@@ -266,9 +267,13 @@ def test_clip_stream_is_reproducible_and_transformable():
                        ({"conditions": []}, "at least one id"), ({"conditions": 3}, "at least one id"),
                        ({"seed": True}, "seed"), ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"),
                        ({"batch_size": 0}, "batch_size"), ({"batch_size": True}, "batch_size"),
-                       ({"batch_size": 2.0}, "batch_size")):
+                       ({"batch_size": 2.0}, "batch_size"),
+                       ({"style": "sepia"}, "unknown style 'sepia'"), ({"jitter": 0.5}, "jitter"),
+                       ({"frames": 1}, "geometry"), ({"height": 7.5}, "geometry")):
         with pytest.raises(ContractError, match=match):
             clip_stream(**{"batch_size": 2, "seed": 1, **bad})
+    with pytest.raises(TypeError, match="colour"):
+        clip_stream(2, seed=1, colour=1)
 
 
 def test_gen_moving_scene_matches_render_clip():

@@ -66,7 +66,7 @@ def test_layernorm_matches_direct_formula():
     x = rng.normal(size=(4, 6))
     g = rng.normal(size=6)
     b = rng.normal(size=6)
-    out = T.layernorm(Tensor(x), Tensor(g), Tensor(b), eps=1e-5).numpy()
+    out = T.layernorm(Tensor(x), Tensor(g), Tensor(b)).numpy()
     mu = x.mean(-1, keepdims=True)
     var = ((x - mu) ** 2).mean(-1, keepdims=True)
     ref = (x - mu) / np.sqrt(var + 1e-5) * g + b
@@ -190,6 +190,10 @@ def test_take_rows_values_and_duplicate_grad():
     assert out.numpy().tolist() == [[1.0, 2.0], [1.0, 2.0], [5.0, 6.0]]
     # row 0 selected twice, row 1 never, row 2 once
     assert table.grad.tolist() == [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]]
+    assert T.take_rows(table, np.array([2, 0], dtype=np.int32)).numpy().tolist() == [[5.0, 6.0], [1.0, 2.0]]
+    for bad in (np.array([True, False]), np.array([0.0]), np.array([3]), np.array([-1])):
+        with pytest.raises(ContractError, match="take_rows ids"):
+            T.take_rows(table, bad)
 
 
 def test_expand_and_reduction_shapes():
