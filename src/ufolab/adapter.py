@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, FingerprintError, FormatError, check_field_types, is_number
+from .errors import ContractError, FingerprintError, FormatError, check_field_types, is_intensity, is_number
 from .fileio import read_container, unpack_arrays, write_container
 from .model import DiffusionModel, adaptable_layers, fingerprint
 from .tensor import Tensor
@@ -156,7 +156,7 @@ class AdapterStack:
         for adapter, alpha in entries:
             if not isinstance(adapter, UfoAdapter):
                 raise ContractError("stack entries must be (UfoAdapter, alpha) pairs")
-            if not (is_number(alpha) and 0.0 <= alpha <= 1.0):
+            if not is_intensity(alpha):
                 raise ContractError(f"intensity must be a number in [0, 1], got {alpha!r}")
             cleaned.append((adapter, float(alpha)))
         fps = {a.fingerprint for a, _ in cleaned}

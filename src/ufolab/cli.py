@@ -141,6 +141,9 @@ def cmd_sweep(args) -> int:
     seeds = args.seeds
     if len(set(seeds)) != len(seeds):
         raise ContractError("--seeds must be distinct (matched-seed protocol)")
+    reports = [f"alpha-{alpha:g}.csv" for alpha in args.alphas]
+    if len(set(reports)) != len(reports):
+        raise ContractError(f"--alphas must give distinct report names, got {', '.join(reports)}")
     conditions = args.conditions if args.conditions else list(DEFAULT_CONDITIONS)
     conds = np.array([conditions[i % len(conditions)] for i in range(len(seeds))])
     outdir = resolve_path(args.out)  # created by the first report write
@@ -155,10 +158,10 @@ def cmd_sweep(args) -> int:
     # every alpha is scored against the matched-seed alpha=0 baseline
     baseline = clips_at(0.0)
     summary = []
-    for alpha in args.alphas:
+    for alpha, name in zip(args.alphas, reports):
         videos = baseline if alpha == 0.0 else clips_at(alpha)
         report = evaluate_set(videos, baselines=baseline, alpha=alpha)
-        write_metrics_csv(outdir / f"alpha-{alpha:g}.csv", report)
+        write_metrics_csv(outdir / name, report)
         agg = report.aggregates
         summary.append((alpha, agg["flicker"], agg["sc"], agg["bc"], report.excluded))
         print(f"alpha={alpha:g} {report.summary_line()}")

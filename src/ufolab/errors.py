@@ -23,6 +23,11 @@ def is_number(value, kind: type = float) -> bool:
     return isinstance(value, int if kind is int else (int, float)) and not isinstance(value, bool)
 
 
+def is_intensity(value) -> bool:
+    """Whether `value` is an adapter intensity: a number (see `is_number`) in [0, 1]."""
+    return is_number(value) and 0.0 <= value <= 1.0
+
+
 def is_index(value, end=np.inf) -> bool:
     """Whether `value` is an integer in [0, end): a Python or NumPy integer, never a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and 0 <= value < end

@@ -432,6 +432,18 @@ def test_sweep_duplicate_seeds_exit_2(tmp_path, workspace):
                  "--out", str(tmp_path / "s")]) == 2
 
 
+def test_sweep_alphas_sharing_a_report_name_exit_2_before_sampling(tmp_path, workspace, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sweep sampled before refusing its arguments")
+
+    monkeypatch.setattr("ufolab.cli.sample", no_sampling)
+    # 0.5 twice, and 0.1234561 and 0.1234562 both write alpha-0.123456.csv
+    assert main(["sweep", "--base", str(workspace.base), "--ufo", str(workspace.ufo),
+                 "--alphas", "0.5", "0.5", "0.1234561", "0.1234562", "--seeds", "3", "4",
+                 "--out", str(tmp_path / "s")]) == 2
+    assert not (tmp_path / "s").exists()
+
+
 # ---------------------------------------------------------------- inspect
 
 

@@ -1,14 +1,24 @@
 """Metric tests against brute-force reimplementations and hand-built clips."""
 
 import csv
+import importlib
+import json
 import math
+import os
+import platform
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ufolab.errors import ContractError
 from ufolab.metrics import (
+    CHUNK,
     MetricsReport,
+    _flow,
     consistency_score,
     estimate_flow,
     evaluate_set,
@@ -18,6 +28,7 @@ from ufolab.metrics import (
     write_metrics_csv,
 )
 from ufolab.synthdata import gen_moving_scene, make_static_video
+from ufolab.video import Clip
 
 from oracles import flow_oracle
 
@@ -245,6 +256,21 @@ def test_flow_matches_oracle_bit_for_bit_on_tie_heavy_clips():
     assert pair_flow(*tie_heavy_clips()[-1][:2])[1]  # the 5-pixel shift saturates
 
 
+def test_stacked_flow_matches_oracle_pair_by_pair():
+    # every clip of a stack, whatever its size, keeps the bits of its pairs scored alone
+    clips = tie_heavy_clips()
+    for shape in sorted({clip.shape for clip in clips}):
+        group = [clip for clip in clips if clip.shape == shape]
+        flows, saturated = _flow(np.stack(group).astype(np.float64))
+        f, h, w, _ = shape
+        assert flows.shape == (len(group), f - 1, h // 4, w // 4, 2)
+        assert saturated.shape == (len(group),)
+        for clip, got, got_sat in zip(group, flows, saturated):
+            pairs = [flow_oracle(clip[i], clip[i + 1]) for i in range(f - 1)]
+            assert np.array_equal(got, np.stack([flow for flow, _ in pairs]))
+            assert got_sat == any(sat for _, sat in pairs)
+
+
 def test_flow_contracts():
     frame = random_clip(9, shape=(1, 16, 16, 1))[0]
     for prev, nxt in [(frame[..., 0], frame[..., 0]), (frame[:14], frame[:14])]:
@@ -345,6 +371,142 @@ def test_evaluate_set_with_baselines_and_empty():
     assert empty.summary_line() == "no videos evaluated"
     with pytest.raises(ContractError):
         evaluate_set(videos, baselines=videos[:1])
+
+
+@pytest.mark.parametrize("alpha", [True, "x", math.nan, 7.0, -1])
+def test_evaluate_set_refuses_an_alpha_outside_the_intensity_range(alpha):
+    with pytest.raises(ContractError, match=r"alpha must be None or a number in \[0, 1\]"):
+        evaluate_set([gen_moving_scene(0, 1)], alpha=alpha)
+
+
+def per_clip_rows(videos, baselines, alpha):
+    """The rows `evaluate_set` must give, from the public per-clip metrics."""
+    rows = []
+    for i, video in enumerate(videos):
+        meta = video.meta if isinstance(video, Clip) else {}
+        motion = oft(video)
+        rows.append({"id": i, "condition": meta.get("condition"), "seed": meta.get("seed"),
+                     "alpha": alpha, "flicker": temporal_flicker_score(video),
+                     "sc": consistency_score(video, "subject"),
+                     "bc": consistency_score(video, "background"), "oft": motion,
+                     "excluded": None if baselines is None
+                     else is_motion_excluded(oft(baselines[i]), motion)})
+    return rows
+
+
+def assert_report_is_per_clip(videos, baselines=None, alpha=None):
+    report = evaluate_set(videos, baselines=baselines, alpha=alpha)
+    assert report.rows == per_clip_rows(videos, baselines, alpha)
+    for key in ("flicker", "sc", "bc", "oft"):
+        assert report.aggregates[key] == float(np.mean([row[key] for row in report.rows]))
+    want_ec = None if baselines is None else sum(row["excluded"] for row in report.rows)
+    assert report.excluded == want_ec
+
+
+@pytest.mark.parametrize("n", [1, CHUNK, CHUNK + 1])
+def test_evaluate_set_scores_chunks_as_the_per_clip_metrics(n):
+    moving = [gen_moving_scene(c, 40 + c) for c in range(n)]
+    treated = [make_static_video(clip.data[0], clip.frames, meta=clip.meta) if c % 2 else clip
+               for c, clip in enumerate(moving)]
+    assert_report_is_per_clip(treated, moving, alpha=0.5)
+    assert_report_is_per_clip(treated)
+
+
+def test_evaluate_set_chunks_a_mixed_geometry_set():
+    rng = np.random.default_rng(12)
+    shapes = [(8, 16, 16, 1)] * 3 + [(4, 8, 12, 3)] * 2 + [(8, 16, 16, 1)] + [(4, 8, 12, 3)] * (CHUNK + 2)
+    videos = [rng.uniform(0, 1, size=shape) for shape in shapes]
+    videos[4] = make_static_video(videos[4][0], 4).data  # a static clip: ties everywhere
+    assert_report_is_per_clip(videos, baselines=videos[::-1], alpha=1)
+
+
+def clip_set(n):
+    return [gen_moving_scene(c % 36, c).data.astype(np.float64) for c in range(n)]
+
+
+def bad_values(clip):
+    clip = clip.copy()
+    clip[1, 2, 3, 0] = np.nan
+    return clip
+
+
+@pytest.mark.parametrize("first, then, message", [
+    (bad_values, lambda clip: clip[0], "clip values must be finite"),
+    (lambda clip: clip[:, :14, :14], bad_values, "frame size 14x14 must be divisible"),
+    (lambda clip: clip[:, :4, :4], bad_values, "region mask selects no blocks"),
+    (lambda clip: clip[:1], bad_values, "metrics need at least 2 frames"),
+])
+def test_first_bad_video_past_a_chunk_boundary_raises_its_own_error(first, then, message):
+    videos = clip_set(2 * CHUNK)
+    videos[CHUNK], videos[CHUNK + 1] = first(videos[CHUNK]), then(videos[CHUNK + 1])
+    with pytest.raises(ContractError, match=message):
+        evaluate_set(videos, baselines=clip_set(2 * CHUNK))
+
+
+def test_first_bad_baseline_raises_its_own_error_after_the_videos():
+    videos, baselines = clip_set(CHUNK + 2), clip_set(CHUNK + 2)
+    baselines[1] = baselines[1][:, :14, :14]
+    baselines[2] = bad_values(baselines[2])
+    with pytest.raises(ContractError, match="frame size 14x14 must be divisible"):
+        evaluate_set(videos, baselines=baselines)
+    baselines[1] = baselines[1][:, :4, :4]  # one block: a flow, and no consistency to score
+    with pytest.raises(ContractError, match="clip values must be finite"):
+        evaluate_set(videos, baselines=baselines)
+    videos[-1] = videos[-1] * 2.0  # a bad video is found before any baseline is read
+    with pytest.raises(ContractError, match=r"lie in \[0, 1\]"):
+        evaluate_set(videos, baselines=[None] * len(videos))
+
+
+def test_evaluate_set_memory_stays_below_a_stack_of_the_set():
+    # scoring holds one chunk at a time, so its peak stays below the float64
+    # stack of the treated clips alone, let alone of the whole set
+    moving = [gen_moving_scene(c % 36, c) for c in range(128)]
+    static = [make_static_video(clip.data[0], clip.frames) for clip in moving]
+    stack_bytes = len(static) * static[0].data.size * 8
+    tracemalloc.start()
+    try:
+        evaluate_set(static, baselines=moving)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stack_bytes
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the kept heap pages come from glibc's mallopt thresholds")
+def test_warm_scoring_faults_in_almost_no_memory():
+    # each chunk frees and allocates about 1 MB of flow buffers; with the freed
+    # heap kept, a second pass over the set reuses the pages of the first.  A
+    # fresh interpreter, so that no earlier forward has set the thresholds.
+    script = """
+import resource
+from ufolab import evaluate_set, gen_moving_scene, make_static_video
+moving = [gen_moving_scene(c % 36, c) for c in range(64)]
+static = [make_static_video(clip.data[0], clip.frames) for clip in moving]
+evaluate_set(static, baselines=moving)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+evaluate_set(static, baselines=moving)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert int(done.stdout) < 200
+
+
+def test_score_reference_holds_for_every_pool_clip(monkeypatch):
+    # the benchmark's oracle: all 256 pool clips, moving and static, score the
+    # committed reference values; OFT and EC to the bit, the rest within 1e-12
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    checks = importlib.import_module("checks")
+    workloads = importlib.import_module("workloads")
+    reference = json.loads(workloads.REFERENCE.read_text("utf-8"))
+    moving = [workloads.pool_clip(j) for j in range(workloads.POOL_SIZE)]
+    static = [make_static_video(c.data[0], c.frames, fps=c.fps, meta=c.meta) for c in moving]
+    for kind, clips in (("moving", moving), ("static", static)):
+        expected = [dict(zip(checks.REF_FIELDS, row)) for row in reference[kind]]
+        assert checks.report_matches(evaluate_set(clips, baselines=moving), expected, kind) == []
+    assert checks.selftest(reference, workloads.pool_clip) == []
 
 
 def test_metrics_csv_round_trip(tmp_path):
