@@ -95,21 +95,22 @@ def _variance_block_mask(blocks: np.ndarray) -> np.ndarray:
     return chosen.reshape(var.shape)
 
 
-def _cosine(u: np.ndarray, v: np.ndarray) -> float:
-    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
-    if nu == 0.0 and nv == 0.0:
-        return 1.0
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
-
-
 def _region_consistency(blocks: np.ndarray, region: np.ndarray) -> float:
-    """Mean consecutive-frame cosine of the (F, Hb, Wb, C) block means inside `region`."""
+    """Mean consecutive-frame cosine of the (F, Hb, Wb, C) block means inside `region`.
+
+    Each frame's norm is taken once.  Two zero frames count as 1, a zero
+    frame beside a non-zero one as 0, and a cosine is clipped to [-1, 1].
+    """
     if not region.any():
         raise ContractError("region mask selects no blocks")
     feats = blocks[:, region, :].reshape(blocks.shape[0], -1)
-    sims = [_cosine(feats[i], feats[i + 1]) for i in range(blocks.shape[0] - 1)]
+    norms = [float(np.linalg.norm(f)) for f in feats]
+    sims = []
+    for u, v, nu, nv in zip(feats, feats[1:], norms, norms[1:]):
+        if nu == 0.0 or nv == 0.0:
+            sims.append(float(nu == nv))
+        else:
+            sims.append(min(max(float(np.dot(u, v)) / (nu * nv), -1.0), 1.0))
     return float(np.mean(sims))
 
 

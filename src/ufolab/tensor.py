@@ -30,10 +30,27 @@ changes no bit, rather than the tape holding the scores and every copy.
 ``softmax`` and ``attention`` share one forward and one vjp kernel.
 The vjp of an op with several inputs returns None for an input that needs
 no gradient, instead of a partial that ``backward`` would drop.
+
+``linear``, ``attention``, ``gelu`` and ``layernorm`` split their per-clip
+work into contiguous ranges of the leading (clip) axis: as many as the
+usable CPUs divided by BLAS's threads, at most one per clip, so with BLAS
+threads on every CPU all runs on the calling thread.  The calling thread and
+a pool of threads started at first use take the ranges in turn, and each
+range writes only its own clips of buffers the caller allocated.  Split so
+are linear's product and dx, attention's forward and vjp, gelu's forward
+and vjp, and layernorm's forward and dx (gelu and layernorm only for a
+C-contiguous input).  Linear's dW GEMM and db sum, and layernorm's dgamma
+and dbeta, run whole over all rows, as one more task beside the ranges.
+Each range runs the whole-array operations on its own clips, and BLAS forms
+one GEMM per clip, so no byte depends on the worker count or on the BLAS
+thread count.  Only the calling thread touches the tape and ``Tensor``
+objects.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 import threading
 import warnings
 from contextlib import contextmanager
@@ -42,6 +59,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractError, DimensionError, check_ids
+from .heap import keep_freed_heap_pages
 
 __all__ = [
     "Tensor",
@@ -183,6 +201,108 @@ def _record(out: Tensor, inputs: tuple, vjp: Callable) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# clip ranges: a kernel's per-clip work, split across the usable CPUs
+# ---------------------------------------------------------------------------
+
+def _usable_cpus() -> int:
+    # sched_getaffinity is Linux-only; elsewhere every CPU counts as usable
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _blas_threads() -> int:
+    """Threads of the loaded OpenBLAS, as it reads them from the environment
+    when NumPy loads it: the first positive setting, else one per usable CPU."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return _usable_cpus()
+
+
+_BLAS_THREADS = _blas_threads()  # NumPy, imported above, has loaded BLAS already
+_POOL = None  # the concurrent.futures.ThreadPoolExecutor, once started
+_POOL_LOCK = threading.Lock()
+
+
+def _workers(clips: int) -> int:
+    """Clip ranges a kernel splits into: the usable CPUs divided by BLAS's
+    threads (a GEMM split across threads that each run a threaded BLAS was
+    slower than BLAS alone), at most one per clip, at least one."""
+    return max(1, min(_usable_cpus() // _BLAS_THREADS, clips))
+
+
+def _pool():
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            # imported here, not with the module: it loads logging, a cost
+            # every import of ufolab would pay
+            from concurrent.futures import ThreadPoolExecutor
+
+            keep_freed_heap_pages()  # before a worker's first allocation
+            _POOL = ThreadPoolExecutor(max(1, _workers(_usable_cpus()) - 1), "ufolab-kernel")
+        return _POOL
+
+
+def _forget_pool() -> None:
+    """In a forked child, whose copy of the pool has no threads behind it."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run(tasks: list, workers: int) -> list:
+    """Results of ``tasks`` (no-argument callables), taken in list order by
+    this thread and ``workers - 1`` pool threads, each as it comes free.
+    Returns, or raises a task's error, only once every task has finished,
+    so no worker writes after this returns."""
+    if workers == 1:
+        return [task() for task in tasks]
+    results = [None] * len(tasks)
+    todo, lock = iter(enumerate(tasks)), threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                item = next(todo, None)
+            if item is None:
+                return
+            results[item[0]] = item[1]()
+
+    futures = [_pool().submit(drain) for _ in range(min(workers, len(tasks)) - 1)]
+    try:
+        drain()
+    finally:
+        for future in futures:
+            future.exception()  # waits for it, raising nothing
+    for future in futures:
+        future.result()
+    return results
+
+
+def _split(clips: int, kernel: Callable, *whole: Callable) -> list:
+    """Run the ``whole`` tasks, then ``kernel(r)`` for contiguous ranges ``r``
+    of the leading clip axis (one range is ``...``, the whole array), on this
+    thread and the pool; returns the ``whole`` tasks' results."""
+    n = _workers(clips)
+    edges = [clips * i // n for i in range(n + 1)]
+    ranges = [...] if n == 1 else [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    return _run(list(whole) + [functools.partial(kernel, r) for r in ranges], n)[:len(whole)]
+
+
+def _clips(x: np.ndarray) -> int:
+    """The clip count an elementwise kernel may split ``x`` by: its leading
+    axis if it is C-contiguous (its outputs then are too), else 1."""
+    return x.shape[0] if x.ndim > 1 and x.flags.c_contiguous else 1
+
+
+# ---------------------------------------------------------------------------
 # broadcasting helpers: equal shapes, or one operand's shape is a trailing
 # suffix of the other's.  Anything else is a DimensionError.
 # ---------------------------------------------------------------------------
@@ -258,8 +378,8 @@ def linear(x, w, b=None) -> Tensor:
 
     ``w`` is (m, n) and ``b``, if given, is (m,).  The product runs as one GEMM
     per clip over ``x`` viewed as (clips, rows, n), so a clip's output does
-    not depend on how many clips share the call; the vjp forms dW as one 2-D
-    GEMM over all rows.
+    not depend on how many clips share the call; the vjp forms dx the same
+    way and dW as one 2-D GEMM over all rows.
     """
     x, w = _coerce(x), _coerce(w)
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[1]:
@@ -271,18 +391,35 @@ def linear(x, w, b=None) -> Tensor:
             raise DimensionError(f"linear bias shape {b.shape} does not match weight {w.shape}")
         inputs = (x, w, b)
     m, n = w.shape
+    wd, bd = w.data, None if b is None else b.data
     x3 = np.reshape(x.data, (x.shape[0], -1, n))
-    y = np.matmul(x3, w.data.T)
-    if b is not None:
-        y += b.data
+    clips = len(x3)
+    y = np.empty(x3.shape[:2] + (m,), np.result_type(x3, wd))
+
+    def forward(r):
+        yr = np.matmul(x3[r], wd.T, out=y[r])
+        if bd is not None:
+            yr += bd
+
+    _split(clips, forward)
     out = Tensor(np.reshape(y, x.shape[:-1] + (m,)))
 
     def vjp(g):
-        g2 = np.reshape(g, (-1, m))
-        dx = np.reshape(np.reshape(g, y.shape) @ w.data, x.shape) if x.requires_grad else None
-        dw = g2.T @ np.reshape(x3, (-1, n)) if w.requires_grad else None
-        db = g2.sum(axis=0) if b is not None and b.requires_grad else None
-        return (dx, dw, db)[:len(inputs)]
+        want_w, want_b = w.requires_grad, b is not None and b.requires_grad
+        dx = np.empty(x3.shape, np.result_type(g, wd)) if x.requires_grad else None
+
+        def dx_rows(r):
+            np.matmul(np.reshape(g[r], y[r].shape), wd, out=dx[r])
+
+        def params():
+            g2 = np.reshape(g, (-1, m)) if want_w or want_b else None
+            return (g2.T @ np.reshape(x3, (-1, n)) if want_w else None,
+                    g2.sum(axis=0) if want_b else None)
+
+        if dx is None:
+            return (None, *params())[:len(inputs)]
+        dw, db = _split(clips, dx_rows, params)[0]
+        return (np.reshape(dx, x.shape), dw, db)[:len(inputs)]
 
     return _record(out, inputs, vjp)
 
@@ -387,31 +524,43 @@ def gelu(a) -> Tensor:
     """Gaussian error linear unit (tanh approximation)."""
     a = _coerce(a)
     x = a.data
-    t = np.multiply(x, x)
-    t *= x
-    t *= _GELU_A
-    t += x
-    t *= _GELU_C
-    np.tanh(t, out=t)                      # t = tanh(C * (x + A * x^3))
-    y = np.multiply(x, 0.5)
-    y *= np.add(t, 1.0)                    # y = 0.5 * x * (1 + t)
+    t, y = np.empty_like(x), np.empty_like(x)
+
+    def forward(r):
+        xr, tr, yr = x[r], t[r], y[r]
+        np.multiply(xr, xr, out=tr)
+        tr *= xr
+        tr *= _GELU_A
+        tr += xr
+        tr *= _GELU_C
+        np.tanh(tr, out=tr)                # t = tanh(C * (x + A * x^3))
+        np.multiply(xr, 0.5, out=yr)
+        yr *= np.add(tr, 1.0)              # y = 0.5 * x * (1 + t)
+
+    _split(_clips(x), forward)
     out = Tensor(y)
 
     def vjp(g):
-        du = np.multiply(x, x)
-        du *= 3.0 * _GELU_A
-        du += 1.0
-        du *= _GELU_C                      # du = C * (1 + 3A * x^2)
-        s = np.multiply(t, t)
-        np.subtract(1.0, s, out=s)
-        s *= du
-        np.multiply(x, 0.5, out=du)
-        s *= du                            # s = 0.5 * x * ((1 - t^2) * du)
-        np.add(t, 1.0, out=du)
-        du *= 0.5
-        du += s
-        du *= g                            # g * (0.5 * (1 + t) + s)
-        return (du,)
+        dx = np.empty_like(x)
+
+        def backward(r):
+            xr, tr, du = x[r], t[r], dx[r]
+            np.multiply(xr, xr, out=du)
+            du *= 3.0 * _GELU_A
+            du += 1.0
+            du *= _GELU_C                  # du = C * (1 + 3A * x^2)
+            s = np.multiply(tr, tr)
+            np.subtract(1.0, s, out=s)
+            s *= du
+            np.multiply(xr, 0.5, out=du)
+            s *= du                        # s = 0.5 * x * ((1 - t^2) * du)
+            np.add(tr, 1.0, out=du)
+            du *= 0.5
+            du += s
+            du *= g[r]                     # g * (0.5 * (1 + t) + s)
+
+        _split(_clips(x), backward)
+        return (dx,)
 
     return _record(out, (a,), vjp)
 
@@ -461,30 +610,50 @@ def attention(q, k, v, heads: int, scale: float) -> Tensor:
         raise DimensionError(f"attention needs equal 4-D q, k, v, got {q.shape}, {k.shape}, {v.shape}")
     if heads < 1 or q.shape[-1] % heads:
         raise DimensionError(f"attention heads {heads} must divide dim {q.shape[-1]}")
-    split = q.shape[:3] + (heads, q.shape[-1] // heads)
+    clips, length, hd = q.shape[0], q.shape[2], q.shape[-1] // heads
+    split = q.shape[:3] + (heads, hd)
+    qd, kd, vd = q.data, k.data, v.data
 
     def copy(x, axes):
-        return np.ascontiguousarray(np.transpose(np.reshape(x.data, split), axes))
+        return np.ascontiguousarray(np.transpose(np.reshape(x, x.shape[:3] + (heads, hd)), axes))
 
-    def merge(x, axes):
-        return np.reshape(np.transpose(x, axes), q.shape)
-
-    att = copy(q, _HEADS) @ copy(k, _KEYS_T)
+    att = np.empty(q.shape[:2] + (heads, length, length), np.result_type(qd, kd))
+    merged = np.empty(split, np.result_type(att, vd))
     scale = np.asarray(scale, dtype=att.dtype)
-    att *= scale
-    _softmax_forward(att, out=att)
-    out = Tensor(merge(att @ copy(v, _HEADS), _HEADS))
+
+    def forward(r):
+        ar = np.matmul(copy(qd[r], _HEADS), copy(kd[r], _KEYS_T), out=att[r])
+        ar *= scale
+        _softmax_forward(ar, out=ar)
+        merged[r] = np.transpose(ar @ copy(vd[r], _HEADS), _HEADS)
+
+    _split(clips, forward)
+    out = Tensor(np.reshape(merged, q.shape))
 
     def vjp(g):
-        go = np.transpose(np.reshape(g, split), _HEADS)
-        dv = merge(np.swapaxes(att, -1, -2) @ go, _HEADS) if v.requires_grad else None
-        if not (q.requires_grad or k.requires_grad):
-            return None, None, dv
-        ds = _softmax_vjp(att, go @ np.swapaxes(copy(v, _HEADS), -1, -2))
-        ds *= scale
-        dq = merge(ds @ np.swapaxes(copy(k, _KEYS_T), -1, -2), _HEADS) if q.requires_grad else None
-        dk = merge(np.swapaxes(copy(q, _HEADS), -1, -2) @ ds, _KEYS_T_BACK) if k.requires_grad else None
-        return dq, dk, dv
+        ds_type = np.result_type(g, vd, att)
+        dq = np.empty(split, np.result_type(ds_type, kd)) if q.requires_grad else None
+        dk = np.empty(att.shape[:3] + (hd, length), np.result_type(qd, ds_type)) if k.requires_grad else None
+        dv = np.empty(split, np.result_type(att, g)) if v.requires_grad else None
+
+        def backward(r):
+            ar = att[r]
+            go = np.transpose(np.reshape(g[r], g[r].shape[:3] + (heads, hd)), _HEADS)
+            if dv is not None:
+                dv[r] = np.transpose(np.swapaxes(ar, -1, -2) @ go, _HEADS)
+            if dq is None and dk is None:
+                return
+            ds = _softmax_vjp(ar, go @ np.swapaxes(copy(vd[r], _HEADS), -1, -2))
+            ds *= scale
+            if dq is not None:
+                dq[r] = np.transpose(ds @ np.swapaxes(copy(kd[r], _KEYS_T), -1, -2), _HEADS)
+            if dk is not None:
+                np.matmul(np.swapaxes(copy(qd[r], _HEADS), -1, -2), ds, out=dk[r])
+
+        _split(clips, backward)
+        return (None if dq is None else np.reshape(dq, q.shape),
+                None if dk is None else np.reshape(np.transpose(dk, _KEYS_T_BACK), q.shape),
+                None if dv is None else np.reshape(dv, q.shape))
 
     return _record(out, (q, k, v), vjp)
 
@@ -496,29 +665,45 @@ def layernorm(a, gamma, beta) -> Tensor:
     if gamma.shape != (n,) or beta.shape != (n,):
         raise DimensionError(
             f"layernorm affine shapes {gamma.shape}/{beta.shape} do not match feature width ({n},)")
-    xhat = np.subtract(a.data, np.mean(a.data, axis=-1, keepdims=True))
-    y = np.multiply(xhat, xhat)
-    inv = 1.0 / np.sqrt(np.mean(y, axis=-1, keepdims=True) + 1e-5)
-    xhat *= inv                            # xhat = (x - mu) / sqrt(var + 1e-5)
-    np.multiply(xhat, gamma.data, out=y)
-    y += beta.data
+    x, gd, bd = a.data, gamma.data, beta.data
+    xhat, y = np.empty_like(x), np.empty_like(x)
+    inv = np.empty(x.shape[:-1] + (1,), x.dtype)
+
+    def forward(r):
+        xr, xh, yr = x[r], xhat[r], y[r]
+        np.subtract(xr, np.mean(xr, axis=-1, keepdims=True), out=xh)
+        np.multiply(xh, xh, out=yr)
+        np.divide(1.0, np.sqrt(np.mean(yr, axis=-1, keepdims=True) + 1e-5), out=inv[r])
+        xh *= inv[r]                       # xhat = (x - mu) / sqrt(var + 1e-5)
+        np.multiply(xh, gd, out=yr)
+        yr += bd
+
+    _split(_clips(x), forward)
     out = Tensor(y)
 
     def vjp(g):
-        lead = tuple(range(g.ndim - 1))
-        dgamma = np.sum(np.multiply(g, xhat), axis=lead) if gamma.requires_grad else None
-        dbeta = np.sum(g, axis=lead) if beta.requires_grad else None
+        def params():
+            lead = tuple(range(g.ndim - 1))
+            return (np.sum(np.multiply(g, xhat), axis=lead) if gamma.requires_grad else None,
+                    np.sum(g, axis=lead) if beta.requires_grad else None)
+
         if not a.requires_grad:
-            return None, dgamma, dbeta
-        gg = np.multiply(g, gamma.data)
-        mean_gg = np.mean(gg, axis=-1, keepdims=True)
-        gx = np.multiply(gg, xhat)
-        mean_ggx = np.mean(gx, axis=-1, keepdims=True)
-        gg -= mean_gg
-        np.multiply(xhat, mean_ggx, out=gx)
-        np.subtract(gg, gx, out=gx)
-        gx *= inv                          # inv * (gg - mean(gg) - xhat * mean(gg * xhat))
-        return gx, dgamma, dbeta
+            return (None, *params())
+        dx = np.empty_like(xhat, dtype=np.result_type(g, gd, xhat))
+
+        def backward(r):
+            xh, gx = xhat[r], dx[r]
+            gg = np.multiply(g[r], gd)
+            mean_gg = np.mean(gg, axis=-1, keepdims=True)
+            np.multiply(gg, xh, out=gx)
+            mean_ggx = np.mean(gx, axis=-1, keepdims=True)
+            gg -= mean_gg
+            np.multiply(xh, mean_ggx, out=gx)
+            np.subtract(gg, gx, out=gx)
+            gx *= inv[r]                   # inv * (gg - mean(gg) - xhat * mean(gg * xhat))
+
+        dgamma, dbeta = _split(_clips(x), backward, params)[0]
+        return dx, dgamma, dbeta
 
     return _record(out, (a, gamma, beta), vjp)
 

@@ -18,7 +18,9 @@ from ufolab.errors import ContractError
 from ufolab.metrics import (
     CHUNK,
     MetricsReport,
+    _block_means,
     _flow,
+    _region_consistency,
     consistency_score,
     estimate_flow,
     evaluate_set,
@@ -119,6 +121,37 @@ def test_consistency_matches_oracle_with_explicit_masks():
         assert abs(got - consistency_oracle(arr, blocks)) < 1e-12
         got_bg = consistency_score(arr, "background", mask=mask)
         assert abs(got_bg - consistency_oracle(arr, ~blocks)) < 1e-12
+
+
+def cosine_chain_oracle(blocks, region):
+    """The per-pair cosine chain `_region_consistency` replaced: both norms of
+    every frame pair, and np.clip on the ratio."""
+    def cosine(u, v):
+        nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+        if nu == 0.0 and nv == 0.0:
+            return 1.0
+        if nu == 0.0 or nv == 0.0:
+            return 0.0
+        return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+
+    feats = blocks[:, region, :].reshape(blocks.shape[0], -1)
+    return float(np.mean([cosine(feats[i], feats[i + 1]) for i in range(blocks.shape[0] - 1)]))
+
+
+def test_region_consistency_matches_the_cosine_chain_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for seed in range(40):
+        blocks = _block_means(random_clip(seed, shape=(8, 16, 16, 2)))
+        blocks[rng.random(8) < 0.3] = 0.0        # zero-norm frames, alone and in runs
+        blocks[5] = (seed % 3 + 0.5) * blocks[4]  # parallel frames, a cosine at the clip bound
+        if seed % 2:
+            blocks[7] = -blocks[6]
+        region = rng.random((4, 4)) < 0.5
+        region[seed % 4, 0] = True
+        got = _region_consistency(blocks, region)
+        assert got.hex() == cosine_chain_oracle(blocks, region).hex(), seed
+    zeros = np.zeros((3, 4, 4, 1))
+    assert _region_consistency(zeros, np.ones((4, 4), dtype=bool)) == 1.0
 
 
 def test_consistency_of_static_region_is_one():
