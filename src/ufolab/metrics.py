@@ -11,7 +11,12 @@ its OFT falls below 1 pixel/frame while the base clip moved at least 1.5x
 faster.  `evaluate_set` bundles everything into one CSV-serializable report.
 It checks and converts each clip once and scores motion in stacks of at most
 CHUNK consecutive clips of one shape through `_chunk_oft`; `estimate_flow`
-and `oft` run the same block-flow kernel on a stack of one clip.
+and `oft` run the same block-flow kernel on a stack of one clip.  The kernel
+lays a stack out with the clip-pair axis last and scores each candidate
+displacement with a few NumPy calls over long rows, one per 4x4 block element
+(pixel and channel); `_pairwise_sum` adds those rows in the order NumPy's
+`.sum()` adds the elements of one contiguous block, so every SAD, flow and
+OFT has the bits of a block scored alone, whatever the stack size.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ FLOW_RADIUS = 3
 TOP_FLOW_FRACTION = 0.05
 STALL_THRESHOLD = 1.0   # pixels/frame: treated clip is near-static below this
 DROP_RATIO = 1.5        # and the base clip moved at least this much faster
-CHUNK = 8               # clips per stacked flow pass: 16 took more memory for no more speed
+CHUNK = 8               # clips per stacked flow pass: 16 is faster but its buffers exceed the memory test's bound
 
 CSV_COLUMNS = ("id", "condition", "seed", "alpha", "flicker", "sc", "bc", "oft", "excluded")
 
@@ -142,42 +147,82 @@ _CANDIDATES = np.array(sorted(
     key=lambda d: (d[0] * d[0] + d[1] * d[1], d[0], d[1])))
 
 
+_UNROLL = 8            # running sums in NumPy's pairwise add-reduce
+_PAIRWISE_BLOCK = 128  # longer sums are split in two
+
+
+def _pairwise_sum(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum a C-contiguous (n, m) array, n >= 8, over its first axis into
+    `out` (m,), adding each column exactly as NumPy's add-reduce adds a
+    contiguous axis of length n; `rows` is used as scratch.
+
+    That order is NumPy's pairwise sum: up to 128 terms, 8 running sums
+    r0..r7 over every 8th term, added as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then the n % 8 last terms in turn; above 128, the sum of the first half,
+    rounded down to a multiple of 8, plus the sum of the rest.  So `out` has
+    the bits of `np.sum` over each column laid out contiguously (but for the
+    sign of a -0.0 total), and each call adds whole rows, not one column at a
+    time.
+    """
+    n = len(rows)
+    if n > _PAIRWISE_BLOCK:
+        half = n // 2 - n // 2 % _UNROLL
+        _pairwise_sum(rows[half:], out)
+        return np.add(_pairwise_sum(rows[:half], rows[half]), out, out=out)
+    acc = rows[:_UNROLL]
+    end = n - n % _UNROLL
+    for i in range(_UNROLL, end, _UNROLL):
+        acc += rows[i:i + _UNROLL]
+    np.add(acc[0::2], acc[1::2], out=acc[0::2])  # r0+r1, r2+r3, r4+r5, r6+r7
+    np.add(acc[0::4], acc[2::4], out=acc[0::4])  # (r0+r1)+(r2+r3), (r4+r5)+(r6+r7)
+    np.add(acc[0], acc[4], out=out)
+    for row in rows[end:]:
+        out += row
+    return out
+
+
 def _flow(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Block flow for every consecutive pair of each clip of a finite float64
     (N, F, H, W, C) stack.
 
-    Returns ((N, F-1, Hb, Wb, 2) integer (dy, dx), (N,) bool saturated).  One
-    vectorised pass per candidate scores every block of every pair of every
-    clip.  The next frames are padded with +inf, so an off-frame window scores
-    +inf.  Each candidate's window, viewed in block layout, minus the
-    reference blocks is written into one contiguous (N, F-1, Hb, Wb,
-    BLOCK*BLOCK*C) buffer in the block's row-major (y, x, c) order, reused for
-    every candidate: summing that contiguous last axis adds in the same order
-    as `.sum()` over one (BLOCK, BLOCK, C) block, whatever N is, so every SAD
-    keeps the bits of one block scored alone.  `argmin` keeps the first of
-    equal SADs in `_CANDIDATES` order, the smallest displacement.
+    Returns ((N, F-1, Hb, Wb, 2) integer (dy, dx), (N,) bool saturated).  The
+    stack is laid out as (H, W, C, P) frames with the P = N*(F-1) clip pairs
+    last: a contiguous element-major (BLOCK, BLOCK, C, Hb, Wb, P) copy of the
+    reference frames, and the next frames padded once with +inf, so that an
+    off-frame window scores +inf.  For each candidate, the window's
+    element-major view minus the reference goes into one reused
+    (BLOCK*BLOCK*C, Hb*Wb*P) buffer, whose absolute rows `_pairwise_sum` adds
+    into the candidate's row of the SAD table.  Every call runs over long
+    rows, and every SAD is added in NumPy's order for a contiguous axis of
+    BLOCK*BLOCK*C terms in the block's (y, x, c) order: the order of `.sum()`
+    over one (BLOCK, BLOCK, C) block scored alone, whatever N is.  `argmin`
+    keeps the first of equal SADs in `_CANDIDATES` order, the smallest
+    displacement.
     """
     radius = FLOW_RADIUS
     n, f, h, w, c = stack.shape
     hb, wb = _block_grid(stack)
     keep_freed_heap_pages()  # else each chunk faults its ~1 MB of buffers back in
-    grid = (n, f - 1, hb, BLOCK, wb, BLOCK, c)
+    pairs = n * (f - 1)
 
-    def block_view(frames):  # (n, f-1, hb, wb, BLOCK, BLOCK, c), no copy
-        return frames.reshape(grid).swapaxes(3, 4)
+    def element_major(frames):  # (h, w, c, pairs) -> (BLOCK, BLOCK, c, hb, wb, pairs), no copy
+        return frames.reshape(hb, BLOCK, wb, BLOCK, c, pairs).transpose(1, 3, 4, 0, 2, 5)
 
-    ref = np.ascontiguousarray(block_view(stack[:, :-1]))
-    padded = np.pad(stack[:, 1:], ((0, 0), (0, 0), (radius, radius), (radius, radius), (0, 0)),
-                    constant_values=np.inf)
-    diff = np.empty((n, f - 1, hb, wb, BLOCK * BLOCK * c))
+    ref = np.ascontiguousarray(stack[:, :-1].reshape(n, f - 1, hb, BLOCK, wb, BLOCK, c)
+                               .transpose(3, 5, 6, 2, 4, 0, 1)).reshape(BLOCK, BLOCK, c, hb, wb, pairs)
+    padded = np.full((h + 2 * radius, w + 2 * radius, c, n, f - 1), np.inf)
+    padded[radius:radius + h, radius:radius + w] = stack[:, 1:].transpose(2, 3, 4, 0, 1)
+    padded = padded.reshape(h + 2 * radius, w + 2 * radius, c, pairs)
+    diff = np.empty((BLOCK * BLOCK * c, hb * wb * pairs))
     diff_blocks = diff.reshape(ref.shape)
-    sads = np.empty((len(_CANDIDATES), n, f - 1, hb, wb))
+    sads = np.empty((len(_CANDIDATES), hb * wb * pairs))
     for k, (dy, dx) in enumerate(_CANDIDATES):
-        window = padded[:, :, radius + dy:radius + dy + h, radius + dx:radius + dx + w]
-        np.subtract(block_view(window), ref, out=diff_blocks)
+        window = padded[radius + dy:radius + dy + h, radius + dx:radius + dx + w]
+        np.subtract(element_major(window), ref, out=diff_blocks)
         np.abs(diff, out=diff)
-        np.sum(diff, axis=-1, out=sads[k])
-    flows = _CANDIDATES[sads.argmin(axis=0)]
+        _pairwise_sum(diff, sads[k])
+    best = sads.argmin(axis=0).reshape(hb, wb, n, f - 1).transpose(2, 3, 0, 1)
+    flows = _CANDIDATES[best]
     return flows, np.abs(flows).reshape(n, -1).max(axis=1) == radius
 
 

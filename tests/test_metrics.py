@@ -20,6 +20,7 @@ from ufolab.metrics import (
     MetricsReport,
     _block_means,
     _flow,
+    _pairwise_sum,
     _region_consistency,
     consistency_score,
     estimate_flow,
@@ -302,6 +303,42 @@ def test_stacked_flow_matches_oracle_pair_by_pair():
             pairs = [flow_oracle(clip[i], clip[i + 1]) for i in range(f - 1)]
             assert np.array_equal(got, np.stack([flow for flow, _ in pairs]))
             assert got_sat == any(sat for _, sat in pairs)
+
+
+def test_stacked_multichannel_flow_matches_oracle_pair_by_pair():
+    # float64 values that float32 cannot hold, drawn from four levels for odd
+    # clips (equal SADs whose sums round by order), a flat patch held over two
+    # frames (exact ties) and a frame nudged by 1e-12 (near-ties), C = 2 and 3,
+    # in a stack of more than CHUNK clips
+    rng = np.random.default_rng(77)
+    levels = np.array([0.1, 1.0 / 3.0, 0.7, 0.9])
+    for c in (2, 3):
+        stack = rng.uniform(0, 1, size=(CHUNK + 1, 4, 16, 16, c))
+        stack[1::2] = levels[rng.integers(0, 4, size=stack[1::2].shape)]
+        assert np.all(stack.astype(np.float32) != stack)
+        stack[2, 1:3, 4:12, 2:14] = 0.5
+        stack[5, 2] = np.clip(stack[5, 1] + rng.choice([-1e-12, 1e-12], size=(16, 16, c)), 0, 1)
+        flows, saturated = _flow(stack)
+        assert flows.shape == (CHUNK + 1, 3, 4, 4, 2) and saturated.shape == (CHUNK + 1,)
+        for clip, got, got_sat in zip(stack, flows, saturated):
+            pairs = [flow_oracle(clip[i], clip[i + 1]) for i in range(len(clip) - 1)]
+            assert np.array_equal(got, np.stack([flow for flow, _ in pairs]))
+            assert got_sat == any(sat for _, sat in pairs)
+
+
+@pytest.mark.parametrize("n", [16, 32, 48, 128, 144, 256, 1000])
+def test_pairwise_sum_adds_as_numpy_sum_bit_for_bit(n):
+    # the flow kernel's SADs keep the bits of `.sum()` over one block only while
+    # `_pairwise_sum` adds in NumPy's order; a NumPy that reorders fails here
+    rng = np.random.default_rng(n)
+    values = rng.choice([-1.0, 1.0], size=(n, 256)) * np.exp2(rng.uniform(-40, 14, size=(n, 256)))
+    want = np.sum(np.ascontiguousarray(values.T), axis=-1)
+    got = _pairwise_sum(values.copy(), np.empty(256))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    left_to_right = np.zeros(256)
+    for row in values:
+        left_to_right += row
+    assert not np.array_equal(left_to_right, want)  # the order matters on this data
 
 
 def test_flow_contracts():
