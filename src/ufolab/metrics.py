@@ -9,10 +9,13 @@ block-matching (SAD, radius 3) and summarized by OFT — the mean of the top
 5% of block-flow magnitudes; a treated clip counts as motion-excluded when
 its OFT falls below 1 pixel/frame while the base clip moved at least 1.5x
 faster.  `evaluate_set` bundles everything into one CSV-serializable report.
-It checks and converts each clip once and scores motion in stacks of at most
-CHUNK consecutive clips of one shape through `_chunk_oft`; `estimate_flow`
-and `oft` run the same block-flow kernel on a stack of one clip.  The kernel
-lays a stack out with the clip-pair axis last and scores each candidate
+It checks and converts each clip once, and scores the motion of each distinct
+clip (by shape and bytes) once per call, videos and baselines together, in
+stacks of at most CHUNK consecutive clips of one shape through `_chunk_oft`;
+nothing is cached across calls.  `estimate_flow` and `oft` run the same
+block-flow code on a stack of one clip.  A frame pair whose two frames are
+equal under `==` gets zero flow with no search.  The search kernel lays the
+other pairs out with the pair axis last and scores each candidate
 displacement with a few NumPy calls over long rows, one per 4x4 block element
 (pixel and channel); `_pairwise_sum` adds those rows in the order NumPy's
 `.sum()` adds the elements of one contiguous block, so every SAD, flow and
@@ -21,6 +24,7 @@ OFT has the bits of a block scored alone, whatever the stack size.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -185,34 +189,49 @@ def _flow(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Block flow for every consecutive pair of each clip of a finite float64
     (N, F, H, W, C) stack.
 
-    Returns ((N, F-1, Hb, Wb, 2) integer (dy, dx), (N,) bool saturated).  The
-    stack is laid out as (H, W, C, P) frames with the P = N*(F-1) clip pairs
-    last: a contiguous element-major (BLOCK, BLOCK, C, Hb, Wb, P) copy of the
-    reference frames, and the next frames padded once with +inf, so that an
-    off-frame window scores +inf.  For each candidate, the window's
-    element-major view minus the reference goes into one reused
-    (BLOCK*BLOCK*C, Hb*Wb*P) buffer, whose absolute rows `_pairwise_sum` adds
-    into the candidate's row of the SAD table.  Every call runs over long
-    rows, and every SAD is added in NumPy's order for a contiguous axis of
-    BLOCK*BLOCK*C terms in the block's (y, x, c) order: the order of `.sum()`
-    over one (BLOCK, BLOCK, C) block scored alone, whatever N is.  `argmin`
-    keeps the first of equal SADs in `_CANDIDATES` order, the smallest
-    displacement.
+    Returns ((N, F-1, Hb, Wb, 2) integer (dy, dx), (N,) bool saturated).  A
+    pair whose two frames are equal under `==` gets flow (0, 0) with no
+    search: (0, 0) is the first candidate and its SAD is exactly 0.  Only the
+    other pairs go through `_block_search`, and the flag is taken over all
+    pairs.
+    """
+    n, f = stack.shape[:2]
+    hb, wb = _block_grid(stack)
+    keep_freed_heap_pages()  # else each chunk faults its ~1.3 MB of buffers back in
+    flows = np.zeros((n, f - 1, hb, wb, 2), dtype=_CANDIDATES.dtype)
+    moved = (stack[:, 1:] != stack[:, :-1]).reshape(n, f - 1, -1).any(axis=-1)
+    if moved.any():
+        clips, frames = np.nonzero(moved)
+        flows[moved] = _block_search(stack[clips, frames], stack[clips, frames + 1])
+    return flows, np.abs(flows).reshape(n, -1).max(axis=1) == FLOW_RADIUS
+
+
+def _block_search(prev: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+    """(P, Hb, Wb, 2) integer (dy, dx) block flow from each frame of `prev`
+    to the same frame of `nxt`, both finite float64 (P, H, W, C).
+
+    The P pairs are laid out last, as (H, W, C, P) frames: a contiguous
+    element-major (BLOCK, BLOCK, C, Hb, Wb, P) copy of the reference frames,
+    and the next frames padded once with +inf, so that an off-frame window
+    scores +inf.  For each candidate, the window's element-major view minus
+    the reference goes into one reused (BLOCK*BLOCK*C, Hb*Wb*P) buffer, whose
+    absolute rows `_pairwise_sum` adds into the candidate's row of the SAD
+    table.  Every call runs over long rows, and every SAD is added in NumPy's
+    order for a contiguous axis of BLOCK*BLOCK*C terms in the block's
+    (y, x, c) order: the order of `.sum()` over one (BLOCK, BLOCK, C) block
+    scored alone, whatever P is.  `argmin` keeps the first of equal SADs in
+    `_CANDIDATES` order, the smallest displacement.
     """
     radius = FLOW_RADIUS
-    n, f, h, w, c = stack.shape
-    hb, wb = _block_grid(stack)
-    keep_freed_heap_pages()  # else each chunk faults its ~1 MB of buffers back in
-    pairs = n * (f - 1)
+    pairs, h, w, c = prev.shape
+    hb, wb = h // BLOCK, w // BLOCK
 
     def element_major(frames):  # (h, w, c, pairs) -> (BLOCK, BLOCK, c, hb, wb, pairs), no copy
         return frames.reshape(hb, BLOCK, wb, BLOCK, c, pairs).transpose(1, 3, 4, 0, 2, 5)
 
-    ref = np.ascontiguousarray(stack[:, :-1].reshape(n, f - 1, hb, BLOCK, wb, BLOCK, c)
-                               .transpose(3, 5, 6, 2, 4, 0, 1)).reshape(BLOCK, BLOCK, c, hb, wb, pairs)
-    padded = np.full((h + 2 * radius, w + 2 * radius, c, n, f - 1), np.inf)
-    padded[radius:radius + h, radius:radius + w] = stack[:, 1:].transpose(2, 3, 4, 0, 1)
-    padded = padded.reshape(h + 2 * radius, w + 2 * radius, c, pairs)
+    ref = np.ascontiguousarray(element_major(prev.transpose(1, 2, 3, 0)))
+    padded = np.full((h + 2 * radius, w + 2 * radius, c, pairs), np.inf)
+    padded[radius:radius + h, radius:radius + w] = nxt.transpose(1, 2, 3, 0)
     diff = np.empty((BLOCK * BLOCK * c, hb * wb * pairs))
     diff_blocks = diff.reshape(ref.shape)
     sads = np.empty((len(_CANDIDATES), hb * wb * pairs))
@@ -221,9 +240,7 @@ def _flow(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.subtract(element_major(window), ref, out=diff_blocks)
         np.abs(diff, out=diff)
         _pairwise_sum(diff, sads[k])
-    best = sads.argmin(axis=0).reshape(hb, wb, n, f - 1).transpose(2, 3, 0, 1)
-    flows = _CANDIDATES[best]
-    return flows, np.abs(flows).reshape(n, -1).max(axis=1) == radius
+    return _CANDIDATES[sads.argmin(axis=0).reshape(hb, wb, pairs).transpose(2, 0, 1)]
 
 
 def _magnitudes(flows: np.ndarray) -> np.ndarray:
@@ -257,19 +274,34 @@ def oft(clip) -> float:
     return _chunk_oft(_as_array(clip)[None])[0]
 
 
-def _ofts_in_chunks(arrays) -> list[float]:
-    """`_chunk_oft` over checked clip arrays, taken in order in stacks of at
-    most CHUNK consecutive arrays of one shape, so that at most one stack is
-    held at a time."""
-    out, chunk = [], []
+def _ofts_in_chunks(arrays, scored: dict) -> list[float]:
+    """`_chunk_oft` over checked clip arrays, each distinct clip scored once.
+
+    A clip's key is its shape and the sha256 of its C-order bytes; a key
+    already in `scored`, or already waiting in the stack, is not stacked
+    again.  The others are taken in order in stacks of at most CHUNK
+    consecutive clips of one shape, so that at most one stack is held at a
+    time, and their OFTs go into `scored`, which `evaluate_set` makes anew
+    for each call, so nothing is cached across calls.  Within a stack,
+    `_flow` gives equal consecutive frames zero flow with no search.
+    """
+    keys, chunk = [], {}
+
+    def score_chunk():
+        scored.update(zip(chunk, _chunk_oft(np.stack(list(chunk.values())))))
+        chunk.clear()
+
     for arr in arrays:
-        if chunk and (len(chunk) == CHUNK or arr.shape != chunk[0].shape):
-            out += _chunk_oft(np.stack(chunk))
-            chunk = []
-        chunk.append(arr)
+        key = (arr.shape, hashlib.sha256(np.ascontiguousarray(arr)).digest())
+        keys.append(key)
+        if key in scored or key in chunk:
+            continue
+        if chunk and (len(chunk) == CHUNK or arr.shape != next(iter(chunk.values())).shape):
+            score_chunk()
+        chunk[key] = arr
     if chunk:
-        out += _chunk_oft(np.stack(chunk))
-    return out
+        score_chunk()
+    return [scored[key] for key in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +341,15 @@ class MetricsReport:
 def evaluate_set(videos, baselines=None, alpha: float | None = None) -> MetricsReport:
     """Score every video; when `baselines` is given (index-aligned), also
     apply the exclusion rule.  `alpha`, None or an intensity in [0, 1], only
-    annotates the report rows."""
+    annotates the report rows.
+
+    Each clip is checked in order, videos before baselines, so the first bad
+    clip raises its own error.  The OFT of each distinct clip (by shape and
+    bytes) is scored once per call, so a baseline equal to a video, or a
+    repeated clip, costs no second flow pass; nothing is kept once the call
+    returns.  Equal consecutive frames, as in a static clip, get zero flow
+    with no search.
+    """
     if alpha is not None and not is_intensity(alpha):
         raise ContractError(f"alpha must be None or a number in [0, 1], got {alpha!r}")
     if baselines is not None and len(baselines) != len(videos):
@@ -344,14 +384,15 @@ def evaluate_set(videos, baselines=None, alpha: float | None = None) -> MetricsR
             _block_grid(arr)  # refuse its frame size in turn, not when its chunk is scored
             yield arr
 
-    motions = _ofts_in_chunks(checked_videos())
+    scored = {}  # OFT by clip key, shared by videos and baselines, dropped on return
+    motions = _ofts_in_chunks(checked_videos(), scored)
     for row, motion in zip(rows, motions):
         row["oft"] = motion
     if not rows:
         return MetricsReport(rows=[], aggregates=None, excluded=None)
     ec = None
     if baselines is not None:
-        for row, motion in zip(rows, _ofts_in_chunks(checked_baselines())):
+        for row, motion in zip(rows, _ofts_in_chunks(checked_baselines(), scored)):
             row["excluded"] = is_motion_excluded(motion, row["oft"])
         ec = sum(row["excluded"] for row in rows)
     aggregates = {key: float(np.mean([row[key] for row in rows]))

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ufolab import metrics
 from ufolab.errors import ContractError
 from ufolab.metrics import (
     CHUNK,
@@ -326,6 +327,54 @@ def test_stacked_multichannel_flow_matches_oracle_pair_by_pair():
             assert got_sat == any(sat for _, sat in pairs)
 
 
+def equal_pair_clips():
+    """Four-frame clips with equal consecutive frames, and the pairs that
+    differ under `==`: a static clip, a repeated middle frame, a pair that
+    differs only by the sign of zero and a pair one ulp apart in one pixel."""
+    rng = np.random.default_rng(23)
+    frame = rng.uniform(0, 1, size=(16, 16, 1))
+    frame[:, :5] = 0.0
+    signed = frame.copy()
+    signed[:, :5] = -0.0
+    nudged = frame.copy()
+    nudged[6, 9, 0] = np.nextafter(nudged[6, 9, 0], 1.0)
+    assert signed.tobytes() != frame.tobytes() and np.array_equal(signed, frame)
+    assert not np.array_equal(nudged, frame) and np.allclose(nudged, frame, rtol=0, atol=1e-15)
+    moving = gen_moving_scene(3, 8).data[:4].astype(np.float64)
+    held = moving.copy()
+    held[2] = held[1]
+    clips = [np.stack([frame] * 4), held, np.stack([frame, signed, signed, frame]),
+             np.stack([frame, frame, nudged, nudged])]
+    return clips, [[], [0, 2], [], [1]]
+
+
+def test_equal_frames_skip_the_search_and_match_the_oracle(monkeypatch):
+    # a pair equal under `==` gets flow (0, 0) unsearched, exactly what the
+    # search would give; one ulp is a move, the sign of a zero is not
+    clips, moved = equal_pair_clips()
+    calls, search = [], metrics._block_search
+
+    def spy(prev, nxt):
+        calls.append((prev, nxt))
+        return search(prev, nxt)
+
+    monkeypatch.setattr(metrics, "_block_search", spy)
+    flows, saturated = _flow(np.stack(clips))
+    assert len(calls) == 1
+    want = [(clip[t], clip[t + 1]) for clip, pairs in zip(clips, moved) for t in pairs]
+    assert np.array_equal(calls[0][0], np.stack([prev for prev, _ in want]))
+    assert np.array_equal(calls[0][1], np.stack([nxt for _, nxt in want]))
+    for clip, got, got_sat in zip(clips, flows, saturated):
+        pairs = [flow_oracle(clip[i], clip[i + 1]) for i in range(len(clip) - 1)]
+        assert np.array_equal(got, np.stack([flow for flow, _ in pairs]))
+        assert got_sat == any(sat for _, sat in pairs)
+    calls.clear()
+    still = np.stack([clips[0], clips[2], clips[0]])  # every pair equal: no search at all
+    flows, saturated = _flow(still)
+    assert calls == [] and flows.shape == (3, 3, 4, 4, 2)
+    assert not flows.any() and not saturated.any()
+
+
 @pytest.mark.parametrize("n", [16, 32, 48, 128, 144, 256, 1000])
 def test_pairwise_sum_adds_as_numpy_sum_bit_for_bit(n):
     # the flow kernel's SADs keep the bits of `.sum()` over one block only while
@@ -525,6 +574,35 @@ def test_first_bad_baseline_raises_its_own_error_after_the_videos():
     videos[-1] = videos[-1] * 2.0  # a bad video is found before any baseline is read
     with pytest.raises(ContractError, match=r"lie in \[0, 1\]"):
         evaluate_set(videos, baselines=[None] * len(videos))
+
+
+def test_evaluate_set_scores_each_distinct_clip_once(monkeypatch):
+    # a clip's OFT is keyed by its shape and bytes, across videos and
+    # baselines, within one call only
+    videos = clip_set(CHUNK + 3)
+    baselines = [gen_moving_scene(c % 36, 100 + c).data.astype(np.float64) for c in range(CHUNK + 3)]
+    videos[0] = baselines[0]                               # the same object
+    videos[1] = baselines[1].astype(np.float32)            # an equal copy
+    videos[CHUNK + 2] = videos[2].copy()                   # a repeat past the first stack
+    baselines[4] = videos[6].copy()                        # equals a different video
+    videos[5] = make_static_video(videos[5][0], 8).data
+    baselines[7] = videos[7].reshape(16, 8, 16, 1)         # the same bytes in another shape
+    assert oft(baselines[7]) != oft(videos[7])
+    assert_report_is_per_clip(videos, baselines)
+    keys = {(clip.shape, np.asarray(clip, np.float64).tobytes()) for clip in videos + baselines}
+    assert len(keys) == 2 * len(videos) - 4
+    stacks, chunk_oft = [], metrics._chunk_oft
+
+    def spy(stack):
+        assert len(stack) <= CHUNK
+        stacks.append(len(stack))
+        return chunk_oft(stack)
+
+    monkeypatch.setattr(metrics, "_chunk_oft", spy)
+    first = evaluate_set(videos, baselines)
+    assert sum(stacks) == len(keys)
+    assert evaluate_set(videos, baselines).rows == first.rows  # nothing kept from the first call
+    assert sum(stacks) == 2 * len(keys)
 
 
 def test_evaluate_set_memory_stays_below_a_stack_of_the_set():
