@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -197,41 +198,43 @@ def _flow(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n, f = stack.shape[:2]
     hb, wb = _block_grid(stack)
-    keep_freed_heap_pages()  # else each chunk faults its ~1.3 MB of buffers back in
+    keep_freed_heap_pages()  # else each chunk faults its ~1.1 MB of buffers back in
     flows = np.zeros((n, f - 1, hb, wb, 2), dtype=_CANDIDATES.dtype)
     moved = (stack[:, 1:] != stack[:, :-1]).reshape(n, f - 1, -1).any(axis=-1)
     if moved.any():
-        clips, frames = np.nonzero(moved)
-        flows[moved] = _block_search(stack[clips, frames], stack[clips, frames + 1])
+        flows[moved] = _block_search(stack, *np.nonzero(moved))
     return flows, np.abs(flows).reshape(n, -1).max(axis=1) == FLOW_RADIUS
 
 
-def _block_search(prev: np.ndarray, nxt: np.ndarray) -> np.ndarray:
-    """(P, Hb, Wb, 2) integer (dy, dx) block flow from each frame of `prev`
-    to the same frame of `nxt`, both finite float64 (P, H, W, C).
+def _block_search(stack: np.ndarray, clips: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """(P, Hb, Wb, 2) integer (dy, dx) block flow of the P pairs
+    (clips[i], frames[i]) of a finite float64 (N, F, H, W, C) stack: from
+    frame `frames[i]` of clip `clips[i]` to the next frame of that clip.
 
     The P pairs are laid out last, as (H, W, C, P) frames: a contiguous
     element-major (BLOCK, BLOCK, C, Hb, Wb, P) copy of the reference frames,
     and the next frames padded once with +inf, so that an off-frame window
-    scores +inf.  For each candidate, the window's element-major view minus
-    the reference goes into one reused (BLOCK*BLOCK*C, Hb*Wb*P) buffer, whose
-    absolute rows `_pairwise_sum` adds into the candidate's row of the SAD
-    table.  Every call runs over long rows, and every SAD is added in NumPy's
-    order for a contiguous axis of BLOCK*BLOCK*C terms in the block's
-    (y, x, c) order: the order of `.sum()` over one (BLOCK, BLOCK, C) block
-    scored alone, whatever P is.  `argmin` keeps the first of equal SADs in
-    `_CANDIDATES` order, the smallest displacement.
+    scores +inf; each is gathered from the stack within its own statement,
+    so no gathered copy outlives it.  For each candidate, the window's
+    element-major view minus the reference goes into one reused
+    (BLOCK*BLOCK*C, Hb*Wb*P) buffer, whose absolute rows `_pairwise_sum`
+    adds into the candidate's row of the SAD table.  Every call runs over
+    long rows, and every SAD is added in NumPy's order for a contiguous axis
+    of BLOCK*BLOCK*C terms in the block's (y, x, c) order: the order of
+    `.sum()` over one (BLOCK, BLOCK, C) block scored alone, whatever P is.
+    `argmin` keeps the first of equal SADs in `_CANDIDATES` order, the
+    smallest displacement.
     """
     radius = FLOW_RADIUS
-    pairs, h, w, c = prev.shape
-    hb, wb = h // BLOCK, w // BLOCK
+    h, w, c = stack.shape[2:]
+    hb, wb, pairs = h // BLOCK, w // BLOCK, len(clips)
 
-    def element_major(frames):  # (h, w, c, pairs) -> (BLOCK, BLOCK, c, hb, wb, pairs), no copy
-        return frames.reshape(hb, BLOCK, wb, BLOCK, c, pairs).transpose(1, 3, 4, 0, 2, 5)
+    def element_major(planes):  # (h, w, c, pairs) -> (BLOCK, BLOCK, c, hb, wb, pairs), no copy
+        return planes.reshape(hb, BLOCK, wb, BLOCK, c, pairs).transpose(1, 3, 4, 0, 2, 5)
 
-    ref = np.ascontiguousarray(element_major(prev.transpose(1, 2, 3, 0)))
+    ref = np.ascontiguousarray(element_major(stack[clips, frames].transpose(1, 2, 3, 0)))
     padded = np.full((h + 2 * radius, w + 2 * radius, c, pairs), np.inf)
-    padded[radius:radius + h, radius:radius + w] = nxt.transpose(1, 2, 3, 0)
+    padded[radius:radius + h, radius:radius + w] = stack[clips, frames + 1].transpose(1, 2, 3, 0)
     diff = np.empty((BLOCK * BLOCK * c, hb * wb * pairs))
     diff_blocks = diff.reshape(ref.shape)
     sads = np.empty((len(_CANDIDATES), hb * wb * pairs))
@@ -274,18 +277,18 @@ def oft(clip) -> float:
     return _chunk_oft(_as_array(clip)[None])[0]
 
 
-def _ofts_in_chunks(arrays, scored: dict) -> list[float]:
+def _ofts_in_chunks(arrays) -> list[float]:
     """`_chunk_oft` over checked clip arrays, each distinct clip scored once.
 
     A clip's key is its shape and the sha256 of its C-order bytes; a key
-    already in `scored`, or already waiting in the stack, is not stacked
-    again.  The others are taken in order in stacks of at most CHUNK
-    consecutive clips of one shape, so that at most one stack is held at a
-    time, and their OFTs go into `scored`, which `evaluate_set` makes anew
-    for each call, so nothing is cached across calls.  Within a stack,
-    `_flow` gives equal consecutive frames zero flow with no search.
+    already scored, or already waiting in the stack, is not stacked again.
+    The others are taken in order in stacks of at most CHUNK consecutive
+    clips of one shape, so that at most one stack is held at a time.  The
+    OFTs by key live only for this call, so nothing is cached across calls.
+    Within a stack, `_flow` gives equal consecutive frames zero flow with no
+    search.
     """
-    keys, chunk = [], {}
+    keys, chunk, scored = [], {}, {}
 
     def score_chunk():
         scored.update(zip(chunk, _chunk_oft(np.stack(list(chunk.values())))))
@@ -384,15 +387,15 @@ def evaluate_set(videos, baselines=None, alpha: float | None = None) -> MetricsR
             _block_grid(arr)  # refuse its frame size in turn, not when its chunk is scored
             yield arr
 
-    scored = {}  # OFT by clip key, shared by videos and baselines, dropped on return
-    motions = _ofts_in_chunks(checked_videos(), scored)
-    for row, motion in zip(rows, motions):
-        row["oft"] = motion
+    clips = checked_videos() if baselines is None else chain(checked_videos(), checked_baselines())
+    motions = _ofts_in_chunks(clips)
     if not rows:
         return MetricsReport(rows=[], aggregates=None, excluded=None)
+    for row, motion in zip(rows, motions):
+        row["oft"] = motion
     ec = None
     if baselines is not None:
-        for row, motion in zip(rows, _ofts_in_chunks(checked_baselines(), scored)):
+        for row, motion in zip(rows, motions[len(rows):]):
             row["excluded"] = is_motion_excluded(motion, row["oft"])
         ec = sum(row["excluded"] for row in rows)
     aggregates = {key: float(np.mean([row[key] for row in rows]))

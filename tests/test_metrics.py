@@ -354,9 +354,9 @@ def test_equal_frames_skip_the_search_and_match_the_oracle(monkeypatch):
     clips, moved = equal_pair_clips()
     calls, search = [], metrics._block_search
 
-    def spy(prev, nxt):
-        calls.append((prev, nxt))
-        return search(prev, nxt)
+    def spy(stack, clips, frames):
+        calls.append((stack[clips, frames], stack[clips, frames + 1]))
+        return search(stack, clips, frames)
 
     monkeypatch.setattr(metrics, "_block_search", spy)
     flows, saturated = _flow(np.stack(clips))
