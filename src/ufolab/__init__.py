@@ -1,5 +1,9 @@
 """ufolab: intensity-controlled low-rank adapters for a toy diffusion video generator."""
 
+from . import heap
+
+heap.keep_freed_heap_pages()  # before the imports below: one policy for every module
+
 from .adapter import (
     AdapterStack,
     UfoAdapter,

@@ -105,7 +105,6 @@ def cmd_generate(args) -> int:
     clip = Clip(vids[0], fps=model.config.fps,
                 meta={"condition": int(args.condition), "seed": int(args.seed)})
     out = resolve_path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_clip(clip, out)
     print(f"video: {out}")
     return 0
@@ -129,7 +128,6 @@ def cmd_evaluate(args) -> int:
                 "the directories must be index-aligned")
     report = evaluate_set(videos, baselines=baselines)
     out = resolve_path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(out, report)
     print(report.summary_line())
     return 0

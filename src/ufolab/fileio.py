@@ -40,8 +40,7 @@ def atomic_write_bytes(path, blob: bytes) -> None:
             fh.write(blob)
         os.replace(tmp, path)
     finally:
-        if tmp.exists():
-            tmp.unlink(missing_ok=True)
+        tmp.unlink(missing_ok=True)
 
 
 def _csv_cell(value) -> str:

@@ -33,7 +33,6 @@ import numpy as np
 
 from .errors import ContractError, is_intensity
 from .fileio import write_csv
-from .heap import keep_freed_heap_pages
 from .video import Clip
 
 BLOCK = 4
@@ -198,7 +197,6 @@ def _flow(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n, f = stack.shape[:2]
     hb, wb = _block_grid(stack)
-    keep_freed_heap_pages()  # else each chunk faults its ~1.1 MB of buffers back in
     flows = np.zeros((n, f - 1, hb, wb, 2), dtype=_CANDIDATES.dtype)
     moved = (stack[:, 1:] != stack[:, :-1]).reshape(n, f - 1, -1).any(axis=-1)
     if moved.any():

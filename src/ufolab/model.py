@@ -24,7 +24,6 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError, DimensionError, FormatError, check_field_types, check_ids
 from .fileio import read_container, unpack_arrays, write_container
-from .heap import keep_freed_heap_pages
 from .schedule import SCHEDULE_KINDS, Schedule, make_schedule
 from .tensor import Tensor
 
@@ -223,7 +222,6 @@ def forward(model: DiffusionModel, z_t, t, cond, stack=None) -> tuple[Tensor, Te
     cond = check_ids(cond, "cond", 0, cfg.cond_vocab, (batch,))
     if stack is not None:
         stack.check_model(model)
-    keep_freed_heap_pages()
 
     z = z_t if isinstance(z_t, Tensor) else Tensor(z_arr.astype(cfg.np_dtype, copy=False))
     x = _linear(_patchify(z, cfg), "patch_embed", p)          # (B, F, S, dim)

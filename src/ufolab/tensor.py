@@ -59,7 +59,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractError, DimensionError, check_ids
-from .heap import keep_freed_heap_pages
 
 __all__ = [
     "Tensor",
@@ -180,10 +179,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
 
-    def detach(self) -> "Tensor":
-        """Same values, cut out of the current graph."""
-        return Tensor(self.data, requires_grad=False)
-
 
 def _coerce(x, like: Tensor | None = None) -> Tensor:
     if isinstance(x, Tensor):
@@ -242,7 +237,6 @@ def _pool():
             # every import of ufolab would pay
             from concurrent.futures import ThreadPoolExecutor
 
-            keep_freed_heap_pages()  # before a worker's first allocation
             _POOL = ThreadPoolExecutor(max(1, _workers(_usable_cpus()) - 1), "ufolab-kernel")
         return _POOL
 

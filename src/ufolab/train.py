@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .adapter import AdapterStack, UfoAdapter, compose
-from .diffusion import training_losses
+from .diffusion import LAMBDA_VLB, training_losses
 from .errors import ContractError, NumericError, check_field_types
 from .fileio import write_csv
 from .model import DiffusionModel
@@ -38,7 +38,7 @@ class TrainConfig:
     lr_peak: float = 2e-4
     warmup_steps: int = 500
     alpha_train: float = 1.0
-    loss_lambda: float = 0.001
+    loss_lambda: float = LAMBDA_VLB
     seed: int = 0
 
     def __post_init__(self):

@@ -249,7 +249,7 @@ def training_losses_oracle(model, z0, t, cond, eps, stack=None, lambda_vlb=LAMBD
     rec_a = _bcast(1.0 / np.sqrt(abar), full, dt)
     rec_b = _bcast(np.sqrt(1.0 - abar) / np.sqrt(abar), full, dt)
     zt_t = Tensor(z_t)
-    x0_hat = T.sub(T.mul(zt_t, rec_a), T.mul(eps_hat.detach(), rec_b))
+    x0_hat = T.sub(T.mul(zt_t, rec_a), T.mul(Tensor(eps_hat.data), rec_b))
     c_x0 = _bcast(sched.mean_coef_x0[ti], full, dt)
     c_zt = _bcast(sched.mean_coef_zt[ti], full, dt)
     mean_p = T.add(T.mul(x0_hat, c_x0), T.mul(zt_t, c_zt))

@@ -397,7 +397,7 @@ def test_evaluate_alignment_mismatch_exits_2(tmp_path):
 
 def test_evaluate_empty_directory_writes_header_only(tmp_path, capsys):
     (tmp_path / "vids").mkdir()
-    out = tmp_path / "metrics.csv"
+    out = tmp_path / "reports" / "metrics.csv"  # a directory evaluate must create
     assert main(["evaluate", "--videos", str(tmp_path / "vids"),
                  "--out", str(out)]) == 0
     assert out.read_text() == "id,condition,seed,alpha,flicker,sc,bc,oft,excluded\n"

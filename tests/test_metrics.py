@@ -1,6 +1,7 @@
 """Metric tests against brute-force reimplementations and hand-built clips."""
 
 import csv
+import ctypes
 import importlib
 import json
 import math
@@ -625,7 +626,7 @@ def test_evaluate_set_memory_stays_below_a_stack_of_the_set():
 def test_warm_scoring_faults_in_almost_no_memory():
     # each chunk frees and allocates about 1 MB of flow buffers; with the freed
     # heap kept, a second pass over the set reuses the pages of the first.  A
-    # fresh interpreter, so that no earlier forward has set the thresholds.
+    # fresh interpreter, so that only importing ufolab has set the thresholds.
     script = """
 import resource
 from ufolab import evaluate_set, gen_moving_scene, make_static_video
@@ -640,6 +641,30 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120, check=True)
     assert int(done.stdout) < 200
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or not hasattr(ctypes.CDLL(None), "mallinfo2"),
+                    reason="reads glibc's mallinfo2 (glibc 2.33+)")
+def test_importing_ufolab_keeps_arrays_on_the_heap():
+    # under glibc's default 128 KiB mmap threshold a 4 MiB array gets its own
+    # mapping; importing ufolab alone raises the threshold to 32 MiB
+    script = """
+import ufolab
+import ctypes
+import numpy as np
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in ("arena", "ordblks", "smblks", "hblks",
+                "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.restype = Mallinfo2
+before = mallinfo2().hblkhd
+block = np.ones(1 << 19)
+print(mallinfo2().hblkhd - before)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert int(done.stdout) == 0
 
 
 def test_score_reference_holds_for_every_pool_clip(monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 
 from ufolab import tensor as T
 from ufolab.adapter import init_adapter
+from ufolab.diffusion import LAMBDA_VLB
 from ufolab.errors import ContractError, NumericError
 from ufolab.model import ModelConfig, build_model
 from ufolab.synthdata import clip_stream
@@ -53,6 +54,7 @@ def unchanged(params, ref):
 
 def test_config_invariants():
     TrainConfig(steps=0, warmup_steps=0)  # a no-op run is configurable
+    assert TrainConfig().loss_lambda == LAMBDA_VLB
     with pytest.raises(ContractError):
         TrainConfig(steps=-1)
     with pytest.raises(ContractError):
