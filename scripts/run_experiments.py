@@ -28,24 +28,19 @@ Provenance lives there and never in the artifact headers, so the same code
 and seeds still give the same artifact bytes.
 
 Stages are resumable: a stage is skipped when its output file already exists.
-OpenBLAS is pinned to one thread unless OPENBLAS_NUM_THREADS is set.
+Importing ufolab sets the OpenBLAS that NumPy calls to one thread.
 
 Run everything:            python3 scripts/run_experiments.py
 Run selected stages:       python3 scripts/run_experiments.py base-a ufo-a-d4
 """
 
-import os
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
 import argparse
-import ctypes
 import dataclasses
 import fcntl
 import hashlib
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
@@ -62,6 +57,7 @@ from ufolab.diffusion import sample  # noqa: E402
 from ufolab.fileio import atomic_write_bytes  # noqa: E402
 from ufolab.model import ModelConfig, build_model, load_model, save_model  # noqa: E402
 from ufolab.synthdata import clip_stream  # noqa: E402
+from ufolab.tensor import _openblas  # noqa: E402
 from ufolab.train import TrainConfig, train_base, train_ufo_consistency, train_ufo_style  # noqa: E402
 
 ASSETS = ROOT / "assets"
@@ -200,14 +196,9 @@ def train_stage(name, assets=ASSETS, steps=None, probe_every=PROBE_EVERY):
 
 
 def blas_threads() -> int | None:
-    """Threads the OpenBLAS that NumPy loaded runs; None where it cannot be asked."""
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("libscipy_openblas*.so")):
-        try:
-            return int(ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_())
-        except (OSError, AttributeError):
-            continue
-    return None
+    """Threads the OpenBLAS that NumPy calls runs; None where it cannot be asked."""
+    getter = _openblas("get")
+    return None if getter is None else int(getter())
 
 
 def provenance() -> dict:

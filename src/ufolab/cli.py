@@ -119,13 +119,7 @@ def _load_clips(flag, value):
 
 def cmd_evaluate(args) -> int:
     videos = _load_clips("--videos", args.videos)
-    baselines = None
-    if args.baseline is not None:
-        baselines = _load_clips("--baseline", args.baseline)
-        if len(baselines) != len(videos):
-            raise ContractError(
-                f"baseline holds {len(baselines)} clips but --videos holds {len(videos)}; "
-                "the directories must be index-aligned")
+    baselines = None if args.baseline is None else _load_clips("--baseline", args.baseline)
     report = evaluate_set(videos, baselines=baselines)
     out = resolve_path(args.out)
     write_metrics_csv(out, report)

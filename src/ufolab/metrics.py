@@ -51,6 +51,8 @@ def _as_array(clip) -> np.ndarray:
         raise ContractError(f"clip array must be (frames, height, width, channels), got {arr.shape}")
     if arr.shape[0] < 2:
         raise ContractError("metrics need at least 2 frames")
+    if 0 in arr.shape[1:]:
+        raise ContractError(f"clip has no pixels: shape {arr.shape}")
     arr = arr.astype(np.float64)
     if not np.isfinite(arr).all() or arr.min() < 0.0 or arr.max() > 1.0:
         raise ContractError("clip values must be finite and lie in [0, 1]")

@@ -31,14 +31,15 @@ changes no bit, rather than the tape holding the scores and every copy.
 The vjp of an op with several inputs returns None for an input that needs
 no gradient, instead of a partial that ``backward`` would drop.
 
-``linear``, ``attention``, ``gelu`` and ``layernorm`` split their per-clip
-work into contiguous ranges of the leading (clip) axis: as many as the
-usable CPUs divided by BLAS's threads, at most one per clip, so with BLAS
-threads on every CPU all runs on the calling thread.  The calling thread and
-a pool of threads started at first use take the ranges in turn, and each
-range writes only its own clips of buffers the caller allocated.  Split so
-are linear's product and dx, attention's forward and vjp, gelu's forward
-and vjp, and layernorm's forward and dx (gelu and layernorm only for a
+Importing this module sets NumPy's OpenBLAS to one thread, and ``linear``,
+``attention``, ``gelu`` and ``layernorm`` split their per-clip work into
+contiguous ranges of the leading (clip) axis: one per usable CPU, at most
+one per clip.  Where NumPy calls no OpenBLAS, nothing is set and every
+kernel runs as one range on the calling thread.  The calling thread and a
+pool of threads started at first use take the ranges in turn, and each range
+writes only its own clips of buffers the caller allocated.  Split so are
+linear's product and dx, attention's forward and vjp, gelu's forward and
+vjp, and layernorm's forward and dx (gelu and layernorm only for a
 C-contiguous input).  Linear's dW GEMM and db sum, and layernorm's dgamma
 and dbeta, run whole over all rows, as one more task beside the ranges.
 Each range runs the whole-array operations on its own clips, and BLAS forms
@@ -49,6 +50,7 @@ objects.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import os
 import threading
@@ -204,29 +206,31 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _blas_threads() -> int:
-    """Threads of the loaded OpenBLAS, as it reads them from the environment
-    when NumPy loads it: the first positive setting, else one per usable CPU."""
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            threads = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if threads > 0:
-            return threads
-    return _usable_cpus()
+def _openblas(verb: str):
+    """OpenBLAS's ``<verb>_num_threads`` ("get" or "set") in the library NumPy
+    calls, or None where it calls no OpenBLAS.  dlsym on NumPy's own, already
+    loaded, linalg extension also searches the libraries it links."""
+    from numpy.linalg import _umath_linalg
+
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    names = (f"scipy_openblas_{verb}_num_threads64_", f"openblas_{verb}_num_threads64_",
+             f"openblas_{verb}_num_threads")  # NumPy's wheels, older wheels, system builds
+    return next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
 
 
-_BLAS_THREADS = _blas_threads()  # NumPy, imported above, has loaded BLAS already
+_set_blas_threads = _openblas("set")
+if _set_blas_threads is not None:
+    _set_blas_threads(1)
+_BLAS_PINNED = _set_blas_threads is not None
 _POOL = None  # the concurrent.futures.ThreadPoolExecutor, once started
 _POOL_LOCK = threading.Lock()
 
 
 def _workers(clips: int) -> int:
-    """Clip ranges a kernel splits into: the usable CPUs divided by BLAS's
-    threads (a GEMM split across threads that each run a threaded BLAS was
-    slower than BLAS alone), at most one per clip, at least one."""
-    return max(1, min(_usable_cpus() // _BLAS_THREADS, clips))
+    """Clip ranges a kernel splits into: the usable CPUs, at most one per
+    clip, at least one.  One where BLAS keeps its own threads: a GEMM split
+    across threads that each run a threaded BLAS was slower than BLAS alone."""
+    return max(1, min(_usable_cpus(), clips)) if _BLAS_PINNED else 1
 
 
 def _pool():

@@ -8,8 +8,8 @@ trained by scripts/run_experiments.py with one trainer call per stage (bases:
 assets/MANIFEST.json (checked by tests/test_assets.py); the rest are
 self-contained.  Generation sets are cached per module so the matched-seed
 grids are sampled once and shared between criteria: nine 32-clip x 100-step
-grids in all, about 50 s each on a 2-core x86 box and the bulk of the
-suite's 8.5-10 min.
+grids in all, about 18-20 s each on a 2-core x86 box and most of the
+suite's 4 min.
 """
 
 import math

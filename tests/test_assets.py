@@ -13,7 +13,6 @@ its manifest entry recorded, bit for bit.
 import hashlib
 import importlib.util
 import json
-import os
 import shutil
 from pathlib import Path
 
@@ -51,10 +50,7 @@ def test_adapter_header_agrees_with_manifest(manifest, name):
     assert entry["base_sha256"] == manifest[entry["base"]]["sha256"]
 
 
-def load_script(monkeypatch):
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        # the script pins these on import; keep that inside the calling test
-        monkeypatch.setenv(var, os.environ.get(var, "1"))
+def load_script():
     spec = importlib.util.spec_from_file_location(
         "run_experiments", ROOT / "scripts" / "run_experiments.py")
     script = importlib.util.module_from_spec(spec)
@@ -63,7 +59,7 @@ def load_script(monkeypatch):
 
 
 def test_probe_leaves_trained_bytes_unchanged(tmp_path, monkeypatch):
-    script = load_script(monkeypatch)
+    script = load_script()
     monkeypatch.setattr(script, "PROBE_STEPS", 2)
     for probe_every, out in ((0, tmp_path / "off"), (1, tmp_path / "on")):
         out.mkdir()
@@ -85,7 +81,7 @@ def test_first_20_losses_reproduce_the_manifest(tmp_path, monkeypatch, manifest)
     change the lr); the trainer's loss function is wrapped to record each
     step's l_simple and to stop the run once 20 are in.
     """
-    script = load_script(monkeypatch)
+    script = load_script()
     real = ufolab.train.training_losses
     seen = []
 

@@ -385,7 +385,7 @@ def test_evaluate_with_baseline_populates_exclusions(tmp_path):
     assert [r[excl] for r in rows[1:]] == ["1", "1", "2"]  # both dropped, EC = 2
 
 
-def test_evaluate_alignment_mismatch_exits_2(tmp_path):
+def test_evaluate_alignment_mismatch_exits_2(tmp_path, capsys):
     clips = [make_static_video(gen_moving_scene(c, seed=c).data[0], frames=3)
              for c in range(2)]
     save_clips(tmp_path / "vids", clips)
@@ -393,6 +393,7 @@ def test_evaluate_alignment_mismatch_exits_2(tmp_path):
     assert main(["evaluate", "--videos", str(tmp_path / "vids"),
                  "--baseline", str(tmp_path / "ref"),
                  "--out", str(tmp_path / "m.csv")]) == 2
+    assert "2 videos and 1 baselines" in capsys.readouterr().err
 
 
 def test_evaluate_empty_directory_writes_header_only(tmp_path, capsys):

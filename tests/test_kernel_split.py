@@ -5,7 +5,7 @@
 one range (everything on the calling thread), left as shipped, or forced to
 three ranges on any machine, and the kernel outputs, trained state and
 sampled videos must agree byte for byte.  A subprocess check does the same
-for the BLAS thread count.
+for the BLAS thread count, after checking that importing ufolab set it to one.
 """
 
 import hashlib
@@ -160,29 +160,13 @@ def test_sampled_bytes_do_not_depend_on_the_worker_count(monkeypatch):
 def test_worker_count_is_the_cpus_blas_leaves_free_capped_by_the_clips(monkeypatch):
     # only the count is asked for, so no pool of that size is started
     monkeypatch.setattr(T.os, "sched_getaffinity", lambda pid: set(range(64)))
-    monkeypatch.setattr(T, "_BLAS_THREADS", 1)
+    monkeypatch.setattr(T, "_BLAS_PINNED", True)
     assert [T._workers(clips) for clips in (0, 1, 3, 64, 500)] == [1, 1, 3, 64, 64]
-    monkeypatch.setattr(T, "_BLAS_THREADS", 4)
-    assert [T._workers(clips) for clips in (3, 500)] == [3, 16]
-    monkeypatch.setattr(T, "_BLAS_THREADS", 64)
-    assert T._workers(8) == 1
+    monkeypatch.setattr(T, "_BLAS_PINNED", False)  # BLAS keeps its own threads
+    assert [T._workers(clips) for clips in (1, 8, 500)] == [1, 1, 1]
     monkeypatch.setattr(T.os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(T, "_BLAS_THREADS", 1)
+    monkeypatch.setattr(T, "_BLAS_PINNED", True)
     assert [T._workers(clips) for clips in (1, 8)] == [1, 1]
-
-
-def test_blas_threads_are_read_as_openblas_reads_them(monkeypatch):
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setattr(T.os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    assert T._blas_threads() == 3
-    monkeypatch.setenv("OMP_NUM_THREADS", "2")
-    assert T._blas_threads() == 2
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")   # not a setting: the next one counts
-    monkeypatch.setenv("GOTO_NUM_THREADS", "five")
-    assert T._blas_threads() == 2
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert T._blas_threads() == 1
 
 
 def test_one_cpu_or_one_clip_runs_on_the_calling_thread(monkeypatch):
@@ -269,8 +253,6 @@ _BLAS_PROBE = """
 import hashlib, sys
 import numpy as np
 sys.path.insert(0, sys.argv[1])
-sys.path.insert(0, sys.argv[2])
-from run import _blas_threads
 from test_kernel_split import seeded_adapter, seeded_model
 from ufolab import TrainConfig, clip_stream, compose, sample, train_base
 from ufolab import tensor as T
@@ -289,23 +271,23 @@ def run():
     return h.hexdigest()
 
 
+print(T._openblas("get")(), T._workers(8))
 shipped = run()
+T._openblas("set")(2)
 T._workers = lambda clips: min(2, clips)  # BLAS calls from two threads at once
-print(_blas_threads(), shipped, run())
+print(T._openblas("get")(), shipped, run())
 """
 
 
+@pytest.mark.skipif(T._openblas("get") is None, reason="NumPy calls no OpenBLAS")
 def test_trained_and_sampled_bytes_do_not_depend_on_the_blas_thread_count():
-    seen = set()
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   MKL_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE, str(ROOT / "perfbench"), str(ROOT / "tests")],
-                              env=env, capture_output=True, text=True, timeout=600)
-        assert proc.returncode == 0, proc.stderr
-        reported, *digests = proc.stdout.split()
-        # OpenBLAS caps its threads at the usable CPUs; None: no OpenBLAS found to ask
-        assert reported in (str(min(int(threads), len(os.sched_getaffinity(0)))), "None")
-        seen.update(digests)
-    assert len(seen) == 1
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE, str(ROOT / "tests")],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    pinned, workers, reset, shipped, two_threads = proc.stdout.split()
+    cpus = len(os.sched_getaffinity(0))
+    assert (pinned, workers) == ("1", str(min(8, cpus)))
+    assert reset == str(min(2, cpus))  # OpenBLAS caps its threads at the usable CPUs
+    assert shipped == two_threads

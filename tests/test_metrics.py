@@ -577,6 +577,14 @@ def test_first_bad_baseline_raises_its_own_error_after_the_videos():
         evaluate_set(videos, baselines=[None] * len(videos))
 
 
+@pytest.mark.parametrize("score", [temporal_flicker_score, consistency_score, oft,
+                                   lambda clip: evaluate_set([clip])])
+@pytest.mark.parametrize("shape", [(2, 0, 4, 1), (2, 4, 4, 0)])
+def test_a_clip_with_no_pixels_is_refused(score, shape):
+    with pytest.raises(ContractError, match=r"clip has no pixels: shape \(2, "):
+        score(np.zeros(shape))
+
+
 def test_evaluate_set_scores_each_distinct_clip_once(monkeypatch):
     # a clip's OFT is keyed by its shape and bytes, across videos and
     # baselines, within one call only
