@@ -11,6 +11,12 @@ alpha = 0 the adapter term is skipped entirely, so outputs are bit-for-bit
 the base model's.  Several adapters compose additively; entries are kept in
 a canonical digest order so composition is insensitive to how callers order
 the set, down to the last bit.
+
+`AdapterStack.apply` adds the terms of every live entry of a layer as one
+`tensor.adapt` node, the one implementation of the adapted affine map.  Per
+clip range it runs x v_det, then v_cor, then the β·α scale and the sum, and
+it keeps x and the rank-d detections, not the (clips, ..., m) corrections,
+which its vjp recomputes per range.
 """
 
 from __future__ import annotations
@@ -50,15 +56,6 @@ class AdapterLayer:
     def shape(self) -> tuple[int, int]:
         """(out_features, in_features) of the affine layer this adapts."""
         return self.v_cor.shape[0], self.v_det.shape[0]
-
-    def correct(self, x: Tensor, y: Tensor, alpha: float) -> Tensor:
-        """y + alpha * beta * v_cor (v_det^T x) for the layer input x, shape
-        (clips, ..., n), and base output y, shape (clips, ..., m): the one
-        implementation of the correction term, run by AdapterStack.apply for
-        every adapted layer of the model's forward pass."""
-        detect = T.linear(x, T.transpose(self.v_det))   # (clips, ..., d)
-        correct = T.linear(detect, self.v_cor)          # (clips, ..., m)
-        return T.add(y, T.mul(correct, T.mul(self.beta, alpha)))
 
 
 def layer_spec(m: int, n: int, rank: int) -> tuple:
@@ -117,9 +114,14 @@ def init_adapter(model: DiffusionModel, rank: int = 4, targets=None, seed: int =
     adapter = UfoAdapter(rank, fingerprint(model), OrderedDict(), kind)  # refuses rank and kind
     adapter.recommended_alpha = RECOMMENDED_ALPHA[kind]
     layer_shapes = {name: (m, n) for name, m, n in adaptable_layers(model)}
+    if isinstance(targets, str):
+        raise ContractError(f"targets must be a list of layer names, not the string {targets!r}")
     targets = list(targets) if targets is not None else default_targets(model)
     if not targets:
         raise ContractError("adapter needs at least one target layer")
+    repeated = sorted({t for t in targets if targets.count(t) > 1})
+    if repeated:
+        raise ContractError(f"targets {repeated} are named more than once")
     unknown = [t for t in targets if t not in layer_shapes]
     if unknown:
         raise ContractError(f"targets {unknown} are not adaptable layers of this model")
@@ -185,13 +187,13 @@ class AdapterStack:
 
     def apply(self, name: str, x: Tensor, y: Tensor) -> Tensor:
         """Add every nonzero-intensity entry's correction for layer `name`, in
-        digest order, to its base output y given its input x; both keep the
-        (clips, ..., features) shape of `T.linear`."""
-        for adapter, alpha in self.entries:
-            layer = adapter.layers.get(name)
-            if alpha != 0.0 and layer is not None:
-                y = layer.correct(x, y, alpha)
-        return y
+        digest order, to its base output y given its input x, as one
+        `T.adapt` node; both keep the (clips, ..., features) shape of
+        `T.linear`.  With no such entry it returns y itself."""
+        corrections = [(layer.v_det, layer.v_cor, layer.beta, alpha)
+                       for adapter, alpha in self.entries
+                       if alpha != 0.0 and (layer := adapter.layers.get(name)) is not None]
+        return T.adapt(x, y, corrections) if corrections else y
 
 
 def compose(model: DiffusionModel, pairs) -> AdapterStack:

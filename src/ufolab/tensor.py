@@ -31,17 +31,24 @@ changes no bit, rather than the tape holding the scores and every copy.
 The vjp of an op with several inputs returns None for an input that needs
 no gradient, instead of a partial that ``backward`` would drop.
 
+``adapt`` is an adapted layer's correction terms as one node: per entry,
+the chain transpose, linear, linear, β·α, mul and add, with that chain's
+operations and layouts (kept in the test oracles).  It keeps its input and
+the rank-d detections, not the full-width corrections.
+
 Importing this module sets NumPy's OpenBLAS to one thread, and ``linear``,
-``attention``, ``gelu`` and ``layernorm`` split their per-clip work into
-contiguous ranges of the leading (clip) axis: one per usable CPU, at most
-one per clip.  Where NumPy calls no OpenBLAS, nothing is set and every
-kernel runs as one range on the calling thread.  The calling thread and a
-pool of threads started at first use take the ranges in turn, and each range
-writes only its own clips of buffers the caller allocated.  Split so are
-linear's product and dx, attention's forward and vjp, gelu's forward and
-vjp, and layernorm's forward and dx (gelu and layernorm only for a
-C-contiguous input).  Linear's dW GEMM and db sum, and layernorm's dgamma
-and dbeta, run whole over all rows, as one more task beside the ranges.
+``adapt``, ``attention``, ``gelu`` and ``layernorm`` split their per-clip
+work into contiguous ranges of the leading (clip) axis: one per usable CPU,
+at most one per clip.  Where NumPy calls no OpenBLAS, nothing is set and
+every kernel runs as one range on the calling thread.  The calling thread
+and a pool of threads started at first use take the ranges in turn, and
+each range writes only its own clips of buffers the caller allocated.
+Split so are linear's product and dx, adapt's forward and its recomputed
+corrections, detection partials and dx, attention's forward and vjp, gelu's
+forward and vjp, and layernorm's forward and dx (gelu and layernorm only for
+a C-contiguous input).  Linear's dW GEMM and db sum, adapt's v_cor and
+v_det GEMMs and β sums, and layernorm's dgamma and dbeta, run whole over all
+rows, as more tasks beside the ranges.
 Each range runs the whole-array operations on its own clips, and BLAS forms
 one GEMM per clip, so no byte depends on the worker count or on the BLAS
 thread count.  Only the calling thread touches the tape and ``Tensor``
@@ -74,6 +81,7 @@ __all__ = [
     "neg",
     "matmul",
     "linear",
+    "adapt",
     "transpose",
     "reshape",
     "expand",
@@ -420,6 +428,110 @@ def linear(x, w, b=None) -> Tensor:
         return (np.reshape(dx, x.shape), dw, db)[:len(inputs)]
 
     return _record(out, inputs, vjp)
+
+
+class _Correction:
+    """One entry of an ``adapt`` node: its tensors, the contiguous v_detᵀ the
+    chain's transpose gives, its detections and the chain's dtypes."""
+
+    __slots__ = ("v_det", "v_cor", "beta", "alpha", "scale", "vt", "det", "cor_type", "scaled_type")
+
+    def __init__(self, x3, v_det, v_cor, beta, alpha):
+        self.v_det, self.v_cor, self.beta = v_det, v_cor, beta
+        self.alpha = np.asarray(alpha, dtype=beta.dtype)
+        self.scale = beta.data * self.alpha                        # β·α
+        self.vt = np.ascontiguousarray(v_det.data.T)              # (d, n)
+        self.det = np.empty(x3.shape[:2] + self.vt.shape[:1], np.result_type(x3, self.vt))
+        self.cor_type = np.result_type(self.det, v_cor.data)
+        self.scaled_type = np.result_type(self.cor_type, self.scale)
+
+
+def adapt(x, y, corrections) -> Tensor:
+    """An adapted affine layer's output ``y + Σ (x v_det) v_corᵀ · (β·α)`` as one node.
+
+    ``x`` (clips, ..., n) is the layer's input and ``y`` (clips, ..., m) its
+    base output; ``corrections`` holds (v_det (n, d), v_cor (m, d), scalar β,
+    intensity α) entries, added in list order.  Per clip range, the forward
+    runs the operations and layouts of the chain transpose(v_det), linear,
+    linear, β·α, mul, add of each entry (kept in the test oracles): the
+    detections ``x v_det`` through a contiguous v_detᵀ, the correction,
+    ``*=`` β·α, the sum.  The node keeps ``x`` and the rank-d detections, not
+    the corrections.  Its vjp recomputes the corrections per range for β's
+    partial, runs the dx and detection GEMMs per range, and the dW GEMMs and
+    β's sum whole.  ``x`` is an input once per entry, last entry first, so
+    ``backward`` adds its partials in the chain's order.
+    """
+    x, y = _coerce(x), _coerce(y)
+    if x.ndim < 2 or not corrections:
+        raise DimensionError(f"adapt needs a (clips, ..., n) input and corrections, got {x.shape}")
+    n, m = x.shape[-1], y.shape[-1]
+    x3 = np.reshape(x.data, (x.shape[0], -1, n))
+    entries = []
+    for v_det, v_cor, beta, alpha in corrections:
+        v_det, v_cor, beta = _coerce(v_det), _coerce(v_cor), _coerce(beta)
+        if (v_det.ndim != 2 or v_cor.ndim != 2 or beta.shape != () or v_det.shape[0] != n
+                or v_cor.shape[1] != v_det.shape[1] or y.shape != x.shape[:-1] + v_cor.shape[:1]):
+            raise DimensionError(f"adapter shapes {v_det.shape}, {v_cor.shape}, {beta.shape} do not fit "
+                                 f"input {x.shape} and output {y.shape}")
+        entries.append(_Correction(x3, v_det, v_cor, beta, alpha))
+    y3 = np.reshape(y.data, x3.shape[:2] + (m,))
+    out = np.empty(y3.shape, np.result_type(y3, *(e.scaled_type for e in entries)))
+
+    def forward(r):
+        acc = y3[r]
+        for e in entries:
+            c = np.matmul(np.matmul(x3[r], e.vt.T, out=e.det[r]), e.v_cor.data.T)
+            c = np.multiply(c, e.scale, out=c if c.dtype == e.scaled_type else None)
+            acc = np.add(acc, c, out=out[r])
+
+    _split(len(x3), forward)
+    result = Tensor(np.reshape(out, y.shape))
+
+    def vjp(g):
+        # per entry: g·β·α, the detections' partial, the recomputed correction, dx
+        gs, ddet, cor, dx = [], [], [], []
+        for e in entries:
+            want_det = x.requires_grad or e.v_det.requires_grad
+            gs.append(g * e.scale if want_det or e.v_cor.requires_grad else None)
+            ddet.append(np.empty(e.det.shape, np.result_type(gs[-1], e.v_cor.data)) if want_det else None)
+            cor.append(np.empty(out.shape, e.cor_type) if e.beta.requires_grad else None)
+            dx.append(np.empty(x3.shape, np.result_type(ddet[-1], e.vt)) if x.requires_grad else None)
+
+        def correction_rows(r):
+            for e, ge, de, ce in zip(entries, gs, ddet, cor):
+                if ce is not None:
+                    np.matmul(e.det[r], e.v_cor.data.T, out=ce[r])
+                if de is not None:
+                    np.matmul(np.reshape(ge[r], out[r].shape), e.v_cor.data, out=de[r])
+
+        def input_rows(r):
+            for e, de, xe in zip(entries, ddet, dx):
+                if xe is not None:
+                    np.matmul(de[r], e.vt, out=xe[r])
+
+        def d_cor(i):
+            e = entries[i]
+            if e.v_cor.requires_grad:
+                return np.reshape(gs[i], (-1, m)).T @ np.reshape(e.det, (-1, len(e.vt)))
+
+        def d_det_beta(i):
+            e, dv_det, dbeta = entries[i], None, None
+            if e.v_det.requires_grad:
+                dv_det = (np.reshape(ddet[i], (-1, len(e.vt))).T @ np.reshape(x3, (-1, n))).T
+            if cor[i] is not None:
+                dbeta = (g * np.reshape(cor[i], y.shape)).sum() * e.alpha
+            return dv_det, dbeta
+
+        ids = range(len(entries))
+        dv_cor = _split(len(x3), correction_rows, *(functools.partial(d_cor, i) for i in ids))
+        dv_det_beta = _split(len(x3), input_rows, *(functools.partial(d_det_beta, i) for i in ids))
+        partials = [g if y.requires_grad else None]
+        for xe, dc, (dd, db) in reversed(list(zip(dx, dv_cor, dv_det_beta))):
+            partials += [None if xe is None else np.reshape(xe, x.shape), dd, dc, db]
+        return tuple(partials)
+
+    inputs = (y,) + tuple(t for e in reversed(entries) for t in (x, e.v_det, e.v_cor, e.beta))
+    return _record(result, inputs, vjp)
 
 
 def transpose(a, axes=None) -> Tensor:

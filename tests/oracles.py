@@ -9,7 +9,9 @@ per-candidate block-matching loop that the vectorised flow must reproduce
 bit for bit.  `gelu_oracle`, `softmax_oracle` and `layernorm_oracle` are
 the plain-expression formulas, forward and vjp, that the in-place kernels
 of `ufolab.tensor` must reproduce bit for bit; `attention_oracle` is the
-unfused chain of tensor ops that `T.attention` replaces.
+unfused chain of tensor ops that `T.attention` replaces, and
+`adapter_chain_oracle` the six-op chain per correction that `T.adapt`
+replaces.
 `training_losses_oracle` is the hybrid loss with every posterior term pushed
 through the tensor ops as a full-batch constant; `diffusion.training_losses`
 must give its loss and gradients bit for bit.  `poke_payload` damages a
@@ -217,6 +219,18 @@ def attention_oracle(q, k, v, heads: int, scale: float, g, needs=(True, True, Tr
             if part is not None and inp.requires_grad:
                 flowing[id(inp)] = part
     return (out.data,) + tuple(flowing.get(id(x)) for x in leaves)
+
+
+def adapter_chain_oracle(x, y, corrections) -> Tensor:
+    """y plus each (v_det, v_cor, beta, alpha) correction of `corrections` for
+    the layer input x, in list order, as the chain of six tensor ops per
+    entry that `T.adapt` replaces: a transpose of v_det, two linears, β·α,
+    a mul and an add."""
+    for v_det, v_cor, beta, alpha in corrections:
+        detect = T.linear(x, T.transpose(v_det))   # (clips, ..., d)
+        correct = T.linear(detect, v_cor)          # (clips, ..., m)
+        y = T.add(y, T.mul(correct, T.mul(beta, alpha)))
+    return y
 
 
 def _bcast(values, shape: tuple, dtype) -> Tensor:

@@ -5,6 +5,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
+from ufolab import tensor as T
 from ufolab.adapter import (
     AdapterLayer,
     AdapterStack,
@@ -17,6 +18,7 @@ from ufolab.adapter import (
     save_adapter,
     transfer,
 )
+from ufolab.diffusion import training_losses
 from ufolab.errors import ContractError, DimensionError, FingerprintError, FormatError, NumericError
 from ufolab.model import ModelConfig, adaptable_layers, build_model, forward, load_model, save_model
 from ufolab.tensor import Tensor
@@ -76,6 +78,39 @@ def test_misfit_adapter_shapes_raise_dimension_error():
     # at alpha = 0 the term is skipped, so nothing is checked (or computed)
     skipped = AdapterStack([(one_layer_adapter(np.ones((3, 1)), np.ones((2, 1)), 1.0), 0.0)])
     assert skipped.apply("L", x, y) is y
+
+
+def test_apply_records_one_node_per_layer_for_every_live_entry():
+    rng = np.random.default_rng(3)
+    entries = [(one_layer_adapter(rng.normal(size=(6, 2)), rng.normal(size=(5, 2)), beta), alpha)
+               for beta, alpha in ((0.5, 0.3), (2.0, 0.9), (1.0, 0.0))]
+    for adapter, _ in entries:
+        adapter.set_trainable(True)
+    x = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
+    with T.recording() as tape:
+        stack = AdapterStack(entries)
+        out = stack.apply("L", x, T.linear(x, Tensor(rng.normal(size=(5, 6)))))
+    assert len(tape) == 2  # the base linear and one adapt node for the two live entries
+    assert tape.nodes[-1].output is out
+
+
+def test_adapter_training_tape_has_one_node_per_adapted_layer():
+    # a batch-8 adapter step with the default rank-4 targets, the base frozen:
+    # six adapted layers, each one adapt node (the op chain recorded six each, 115 in all)
+    cfg = ModelConfig()
+    model = build_model(cfg, seed=0)
+    for p in model.params.values():
+        p.requires_grad = False
+    adapter = init_adapter(model, rank=4, seed=1)
+    adapter.set_trainable(True)
+    rng = np.random.default_rng(0)
+    shape = (8, cfg.frames, cfg.height, cfg.width, cfg.channels)
+    z0, eps = rng.random(shape).astype(np.float32), rng.standard_normal(shape).astype(np.float32)
+    with T.recording() as tape:
+        training_losses(model, z0, np.arange(1, 9) * 9, np.arange(8), eps,
+                        stack=compose(model, [(adapter, 0.1)]))
+    assert len(adapter.layers) == 6
+    assert len(tape) == 85
 
 
 def test_alpha_zero_is_exact_base_map():
@@ -186,6 +221,19 @@ def test_parameter_count_formula():
     wide = init_adapter(model, rank=4, targets=[n for n, _, _ in adaptable_layers(model)])
     expected = sum(4 * (m + n) + 1 for _, m, n in adaptable_layers(model))
     assert wide.parameter_count() == expected
+
+
+@pytest.mark.parametrize("targets, named", [
+    (["block0.tattn.q"] * 2, "block0.tattn.q"),                 # drew v_det twice, kept the second
+    (["block0.tattn.q", "block0.tattn.v", "block0.tattn.q"], "block0.tattn.q"),
+    ("block0.tattn.q", "block0.tattn.q"),                       # read as one-character names
+    (["block0.tattn.k", "block9.tattn.q"], "block9.tattn.q"),
+    ([], "at least one target"),
+])
+def test_init_adapter_refuses_repeated_unknown_missing_and_string_targets(targets, named):
+    model = build_model(TINY, seed=0)
+    with pytest.raises(ContractError, match=named):
+        init_adapter(model, rank=2, targets=targets)
 
 
 def test_fingerprint_gates_attachment():

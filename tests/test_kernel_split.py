@@ -1,7 +1,7 @@
 """Kernels split their per-clip work across clip ranges with unchanged bytes.
 
 ``tensor._workers`` sets how many contiguous clip ranges ``linear``,
-``attention``, ``gelu`` and ``layernorm`` split into.  Here it is forced to
+``adapt``, ``attention``, ``gelu`` and ``layernorm`` split into.  Here it is forced to
 one range (everything on the calling thread), left as shipped, or forced to
 three ranges on any machine, and the kernel outputs, trained state and
 sampled videos must agree byte for byte.  A subprocess check does the same
@@ -85,6 +85,10 @@ def _kernel_cases(clips):
         for needs in ((True, True, True), (False, True, False), (False, False, True)):
             cases.append(("attention", lambda q, k, v, h=heads: T.attention(q, k, v, h, 0.5),
                           (arr(*shape), arr(*shape), arr(*shape, dtype=np.float64)), needs, arr(*shape)))
+    for needs in ((True,) * 8, (False, True, True, True, True, False, False, True)):
+        cases.append(("adapt", lambda x, y, *p: T.adapt(x, y, [p[:3] + (0.3,), p[3:] + (0.7,)]),
+                      (arr(clips, 4, 5, 6), arr(clips, 4, 5, 7), arr(6, 3), arr(7, 3), arr(), arr(6, 3), arr(7, 3), arr()),
+                      needs, transposed(clips, 4, 5, 7)))
     return cases
 
 

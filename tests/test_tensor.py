@@ -19,8 +19,8 @@ from ufolab.errors import ContractError, DimensionError
 from ufolab.model import ModelConfig, build_model, forward
 from ufolab.tensor import Tensor, backward
 
-from oracles import (attention_oracle, finite_diff_check, gelu_oracle, layernorm_oracle,
-                     softmax_oracle)
+from oracles import (adapter_chain_oracle, attention_oracle, finite_diff_check, gelu_oracle,
+                     layernorm_oracle, softmax_oracle)
 
 
 def leaf(data):
@@ -180,6 +180,48 @@ def test_attention_refuses_mismatched_shapes_and_heads():
         T.attention(x, x, Tensor(np.zeros((2, 3, 5, 8))), 2, 1.0)
     with pytest.raises(DimensionError, match="heads 3 must divide dim 8"):
         T.attention(x, x, x, 3, 1.0)
+
+
+def _adapted_grads(op, dtype, order, transposed_g, needs_x, shared_x):
+    """Output and leaf gradients of a base linear plus `op`'s corrections at
+    intensities 0.3 and 0.7, taken in `order`, on (3, 4, 5, 6) inputs."""
+    rng = np.random.default_rng(14)
+
+    def leaf(*shape, needs=True):
+        return Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=needs)
+
+    x, w = leaf(3, 4, 5, 6, needs=needs_x), leaf(7, 6)
+    entries = [(leaf(6, 3), leaf(7, 3), leaf(), alpha) for alpha in (0.3, 0.7)]
+    entries = [entries[i] for i in order]
+    g = rng.standard_normal((3, 5, 4, 7)).astype(dtype)
+    with T.recording() as tape:
+        out = op(x, T.linear(x, w), entries)
+        # through transpose's vjp the adapted output's gradient is a transposed view
+        y = T.transpose(out, (0, 2, 1, 3)) if transposed_g else out
+        loss = T.tsum(T.mul(y, Tensor(g if transposed_g else np.transpose(g, (0, 2, 1, 3)).copy())))
+        if shared_x:  # a later consumer of x, whose partial backward adds first
+            loss = T.add(loss, T.tsum(T.mul(x, x)))
+        T.backward(loss)
+    leaves = [x, w] + [t for v_det, v_cor, beta, _ in entries for t in (v_det, v_cor, beta)]
+    return out.data, [t.grad for t in leaves], len(tape)
+
+
+@pytest.mark.parametrize("shared_x", [False, True])
+@pytest.mark.parametrize("needs_x", [False, True])
+@pytest.mark.parametrize("transposed_g", [False, True])
+@pytest.mark.parametrize("order", [(0,), (0, 1), (1, 0)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adapt_matches_its_chain_oracle_bit_for_bit(dtype, order, transposed_g, needs_x, shared_x):
+    out, grads, nodes = _adapted_grads(T.adapt, dtype, order, transposed_g, needs_x, shared_x)
+    out_ref, grads_ref, nodes_ref = _adapted_grads(adapter_chain_oracle, dtype, order, transposed_g,
+                                                   needs_x, shared_x)
+    _same_bits(out, out_ref)
+    for got, want in zip(grads, grads_ref):
+        if want is None:
+            assert got is None
+        else:
+            _same_bits(got, want)
+    assert nodes_ref - nodes == 6 * len(order) - 1  # one node in place of six per entry
 
 
 def test_take_rows_values_and_duplicate_grad():
