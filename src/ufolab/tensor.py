@@ -2,10 +2,13 @@
 
 Recording is opt-in.  Inside ``with recording() as tape:`` every operation
 with an input that requires a gradient is appended to ``tape``; ``backward``
-replays it once in reverse and accumulates vector-Jacobian products.  On exit
-the previous tape comes back, and the closed one, unless the caller keeps it,
-is freed with everything it held.  Outside any ``recording()`` operations
-only compute values, so inference and a stray forward pass keep no graph.
+consumes it in reverse, popping each node before its vjp runs, so the node
+and every activation only it held are freed as the pass goes, and the tape
+is empty afterwards (a second ``backward`` on it warns "not connected").
+On exit the previous tape comes back, and the closed one, unless the caller
+keeps it, is freed with whatever it still held.  Outside any ``recording()``
+operations only compute values, so inference and a stray forward pass keep
+no graph.
 
 Broadcasting is deliberately restricted: elementwise ops accept equal shapes
 or a trailing-suffix match, and anything richer must go through the explicit
@@ -844,11 +847,14 @@ def backward(loss: Tensor, tape: Tape | None = None) -> None:
     A leaf is a tensor that no recorded op produced (parameters, inputs);
     gradients for intermediates flow through but are not stored: each is
     freed during the pass, once the vjp of the node that produced it has run.
-    ``loss`` must be a scalar produced on the tape, which defaults to the
-    active one: call it inside the ``recording()`` that built the loss.  If
-    the loss is disconnected a RuntimeWarning is emitted and every leaf
-    gradient is zero.  Gradients add into existing ``.grad`` buffers, so
-    callers clear them between steps.
+    The pass consumes the tape: each node is popped before its vjp runs, and
+    it, its closure and what only they held are freed once that vjp returns.
+    The tape is empty afterwards, so a second ``backward`` on it finds the
+    loss not connected.  ``loss`` must be a scalar produced on the tape,
+    which defaults to the active one: call it inside the ``recording()``
+    that built the loss.  If the loss is disconnected a RuntimeWarning is
+    emitted and every leaf gradient is zero.  Gradients add into existing
+    ``.grad`` buffers, so callers clear them between steps.
     """
     if not isinstance(loss, Tensor):
         raise ContractError("backward expects a Tensor loss")
@@ -856,32 +862,43 @@ def backward(loss: Tensor, tape: Tape | None = None) -> None:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     tape = tape if tape is not None else active_tape()
 
-    flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    produced_ids = {id(node.output) for node in tape.nodes}
+    nodes = tape.nodes
+    produced_ids = {id(node.output) for node in nodes}
     if id(loss) not in produced_ids:
         warnings.warn("loss is not connected to the active tape; all gradients are zero",
                       RuntimeWarning, stacklevel=2)
+    # holding each leaf also keeps its id from being reused while it is a key of flowing
+    leaves = {id(t): t for node in nodes for t in node.inputs
+              if t.requires_grad and id(t) not in produced_ids}
 
-    for node in reversed(tape.nodes):
-        g_out = flowing.pop(id(node.output), None)
-        if g_out is None:
-            continue
-        partials = node.vjp(g_out)
-        for inp, part in zip(node.inputs, partials):
-            if part is None or not inp.requires_grad:
-                continue
-            prev = flowing.get(id(inp))
-            flowing[id(inp)] = part if prev is None else prev + part
+    flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    while nodes:
+        _pass_back(nodes, flowing)
 
     # write results once per leaf (zeros for recorded-but-unreached ones)
-    leaves: dict[int, Tensor] = {}
-    for node in tape.nodes:
-        for t in node.inputs:
-            if t.requires_grad and id(t) not in produced_ids and id(t) not in leaves:
-                leaves[id(t)] = t
     for t in leaves.values():
         g = flowing.get(id(t))
         g = np.zeros_like(t.data) if g is None else np.asarray(g, dtype=t.data.dtype)
         t.grad = np.array(g, copy=True) if t.grad is None else t.grad + g
     if loss.requires_grad and loss.grad is None:
         loss.grad = np.ones_like(loss.data)
+
+
+def _pass_back(nodes: list[_Node], flowing: dict[int, np.ndarray]) -> None:
+    """Pop the last node off ``nodes`` and pass its output's gradient back.
+
+    The popped node's output id leaves ``flowing`` first, and every other
+    intermediate id left there belongs to a node still on the tape, which
+    keeps that tensor alive; so no id in ``flowing`` can be reused.
+    """
+    node = nodes.pop()
+    g_out = flowing.pop(id(node.output), None)
+    if g_out is None:
+        return
+    inputs, partials = node.inputs, node.vjp(g_out)
+    del node, g_out  # the node's last reference: its closure and what only it held go now
+    for inp, part in zip(inputs, partials):
+        if part is None or not inp.requires_grad:
+            continue
+        prev = flowing.get(id(inp))
+        flowing[id(inp)] = part if prev is None else prev + part

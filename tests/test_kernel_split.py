@@ -5,11 +5,13 @@
 one range (everything on the calling thread), left as shipped, or forced to
 three ranges on any machine, and the kernel outputs, trained state and
 sampled videos must agree byte for byte.  A subprocess check does the same
-for the BLAS thread count, after checking that importing ufolab set it to one.
+for the BLAS thread count, after checking that importing ufolab set it to one,
+and another that the pool's threads allocate from the main heap arena.
 """
 
 import hashlib
 import os
+import platform
 import signal
 import subprocess
 import sys
@@ -295,3 +297,28 @@ def test_trained_and_sampled_bytes_do_not_depend_on_the_blas_thread_count():
     assert (pinned, workers) == ("1", str(min(8, cpus)))
     assert reset == str(min(2, cpus))  # OpenBLAS caps its threads at the usable CPUs
     assert shipped == two_threads
+
+
+_ARENA_PROBE = """
+import ctypes
+import numpy as np
+import ufolab
+from ufolab import tensor as T
+x = T.Tensor(np.random.default_rng(0).standard_normal((8, 8, 64, 96)).astype(np.float32),
+             requires_grad=True)
+with T.recording() as tape:
+    T.gelu(x)
+for _ in range(3):  # C-contiguous with 8 clips: the vjp's ranges run on this thread and the pool
+    tape.nodes[-1].vjp(np.ones_like(x.data))
+ctypes.CDLL(None).malloc_stats()
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or len(os.sched_getaffinity(0)) < 2,
+                    reason="counts glibc's arenas, which a pool thread adds only beside the caller")
+def test_pool_threads_allocate_from_the_main_heap_arena():
+    # a second arena would keep its own freed pages, apart from the main heap's
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _ARENA_PROBE], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert [line for line in proc.stderr.splitlines() if line.startswith("Arena")] == ["Arena 0:"]
