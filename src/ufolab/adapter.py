@@ -155,9 +155,11 @@ class AdapterStack:
 
     def __init__(self, entries):
         cleaned = []
-        for adapter, alpha in entries:
-            if not isinstance(adapter, UfoAdapter):
+        for entry in entries:
+            if not (isinstance(entry, (tuple, list)) and len(entry) == 2
+                    and isinstance(entry[0], UfoAdapter)):
                 raise ContractError("stack entries must be (UfoAdapter, alpha) pairs")
+            adapter, alpha = entry
             if not is_intensity(alpha):
                 raise ContractError(f"intensity must be a number in [0, 1], got {alpha!r}")
             cleaned.append((adapter, float(alpha)))

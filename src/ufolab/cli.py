@@ -25,6 +25,7 @@ from .errors import (
     FingerprintError,
     FormatError,
     NumericError,
+    is_intensity,
 )
 from .fileio import write_csv
 from .metrics import evaluate_set, write_metrics_csv
@@ -133,6 +134,9 @@ def cmd_sweep(args) -> int:
     seeds = args.seeds
     if len(set(seeds)) != len(seeds):
         raise ContractError("--seeds must be distinct (matched-seed protocol)")
+    for alpha in args.alphas:
+        if not is_intensity(alpha):
+            raise ContractError(f"--alphas: intensity must be a number in [0, 1], got {alpha!r}")
     reports = [f"alpha-{alpha:g}.csv" for alpha in args.alphas]
     if len(set(reports)) != len(reports):
         raise ContractError(f"--alphas must give distinct report names, got {', '.join(reports)}")

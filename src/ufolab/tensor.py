@@ -37,7 +37,9 @@ no gradient, instead of a partial that ``backward`` would drop.
 ``adapt`` is an adapted layer's correction terms as one node: per entry,
 the chain transpose, linear, linear, β·α, mul and add, with that chain's
 operations and layouts (kept in the test oracles).  It keeps its input and
-the rank-d detections, not the full-width corrections.
+the rank-d detections, not the full-width corrections.  Its vjp is, per
+entry, ``linear``'s affine backward (``_affine_vjp``) of the correction map
+and then of the detection map, with β's sum as one more whole task.
 
 Importing this module sets NumPy's OpenBLAS to one thread, and ``linear``,
 ``adapt``, ``attention``, ``gelu`` and ``layernorm`` split their per-clip
@@ -46,12 +48,12 @@ at most one per clip.  Where NumPy calls no OpenBLAS, nothing is set and
 every kernel runs as one range on the calling thread.  The calling thread
 and a pool of threads started at first use take the ranges in turn, and
 each range writes only its own clips of buffers the caller allocated.
-Split so are linear's product and dx, adapt's forward and its recomputed
-corrections, detection partials and dx, attention's forward and vjp, gelu's
-forward and vjp, and layernorm's forward and dx (gelu and layernorm only for
-a C-contiguous input).  Linear's dW GEMM and db sum, adapt's v_cor and
-v_det GEMMs and β sums, and layernorm's dgamma and dbeta, run whole over all
-rows, as more tasks beside the ranges.
+Split so are linear's product, adapt's forward, the affine backward's dx
+(linear's dx, adapt's detection partials and dx), attention's forward and
+vjp, gelu's forward and vjp, and layernorm's forward and dx (gelu and
+layernorm only for a C-contiguous input).  The affine backward's dW GEMM and
+db sum (adapt's v_cor and v_det GEMMs), adapt's β sums, and layernorm's
+dgamma and dbeta, run whole over all rows, as more tasks beside the ranges.
 Each range runs the whole-array operations on its own clips, and BLAS forms
 one GEMM per clip, so no byte depends on the worker count or on the BLAS
 thread count.  Only the calling thread touches the tape and ``Tensor``
@@ -382,13 +384,38 @@ def matmul(a, b) -> Tensor:
     return _record(out, (a, b), vjp)
 
 
+def _affine_vjp(g, x3, w, want_dx, want_w, want_b=False, *whole) -> tuple:
+    """The partials dx, dW and db (each None unless wanted) of ``x3 @ wᵀ (+ b)``
+    for its output's gradient ``g``, then the ``whole`` tasks' results.
+
+    ``x3`` is (clips, rows, n) and ``w`` (m, n).  dx = g·w runs as one GEMM
+    per clip on the clip ranges; dW and db come from one reshape of ``g`` in
+    one task beside the ranges, and the ``whole`` tasks run beside them too.
+    With no dx wanted, every task runs on the calling thread.
+    """
+    m, n = w.shape
+    dx = np.empty(x3.shape, np.result_type(g, w)) if want_dx else None
+
+    def dx_rows(r):
+        np.matmul(np.reshape(g[r], dx[r].shape[:2] + (m,)), w, out=dx[r])
+
+    def params():
+        g2 = np.reshape(g, (-1, m)) if want_w or want_b else None
+        return (g2.T @ np.reshape(x3, (-1, n)) if want_w else None,
+                g2.sum(axis=0) if want_b else None)
+
+    tasks = (params,) + whole
+    (dw, db), *rest = _split(len(x3), dx_rows, *tasks) if want_dx else [task() for task in tasks]
+    return (dx, dw, db, *rest)
+
+
 def linear(x, w, b=None) -> Tensor:
     """Affine map ``x @ w^T (+ b)`` on the last axis of ``x``, shape (clips, ..., n).
 
     ``w`` is (m, n) and ``b``, if given, is (m,).  The product runs as one GEMM
     per clip over ``x`` viewed as (clips, rows, n), so a clip's output does
-    not depend on how many clips share the call; the vjp forms dx the same
-    way and dW as one 2-D GEMM over all rows.
+    not depend on how many clips share the call; the vjp (``_affine_vjp``)
+    forms dx the same way and dW as one 2-D GEMM over all rows.
     """
     x, w = _coerce(x), _coerce(w)
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[1]:
@@ -402,7 +429,6 @@ def linear(x, w, b=None) -> Tensor:
     m, n = w.shape
     wd, bd = w.data, None if b is None else b.data
     x3 = np.reshape(x.data, (x.shape[0], -1, n))
-    clips = len(x3)
     y = np.empty(x3.shape[:2] + (m,), np.result_type(x3, wd))
 
     def forward(r):
@@ -410,34 +436,22 @@ def linear(x, w, b=None) -> Tensor:
         if bd is not None:
             yr += bd
 
-    _split(clips, forward)
+    _split(len(x3), forward)
     out = Tensor(np.reshape(y, x.shape[:-1] + (m,)))
 
     def vjp(g):
-        want_w, want_b = w.requires_grad, b is not None and b.requires_grad
-        dx = np.empty(x3.shape, np.result_type(g, wd)) if x.requires_grad else None
-
-        def dx_rows(r):
-            np.matmul(np.reshape(g[r], y[r].shape), wd, out=dx[r])
-
-        def params():
-            g2 = np.reshape(g, (-1, m)) if want_w or want_b else None
-            return (g2.T @ np.reshape(x3, (-1, n)) if want_w else None,
-                    g2.sum(axis=0) if want_b else None)
-
-        if dx is None:
-            return (None, *params())[:len(inputs)]
-        dw, db = _split(clips, dx_rows, params)[0]
-        return (np.reshape(dx, x.shape), dw, db)[:len(inputs)]
+        want_b = b is not None and b.requires_grad
+        dx, dw, db = _affine_vjp(g, x3, wd, x.requires_grad, w.requires_grad, want_b)
+        return (None if dx is None else np.reshape(dx, x.shape), dw, db)[:len(inputs)]
 
     return _record(out, inputs, vjp)
 
 
 class _Correction:
     """One entry of an ``adapt`` node: its tensors, the contiguous v_detᵀ the
-    chain's transpose gives, its detections and the chain's dtypes."""
+    chain's transpose gives, its detections and its scaled correction's dtype."""
 
-    __slots__ = ("v_det", "v_cor", "beta", "alpha", "scale", "vt", "det", "cor_type", "scaled_type")
+    __slots__ = ("v_det", "v_cor", "beta", "alpha", "scale", "vt", "det", "scaled_type")
 
     def __init__(self, x3, v_det, v_cor, beta, alpha):
         self.v_det, self.v_cor, self.beta = v_det, v_cor, beta
@@ -445,8 +459,7 @@ class _Correction:
         self.scale = beta.data * self.alpha                        # β·α
         self.vt = np.ascontiguousarray(v_det.data.T)              # (d, n)
         self.det = np.empty(x3.shape[:2] + self.vt.shape[:1], np.result_type(x3, self.vt))
-        self.cor_type = np.result_type(self.det, v_cor.data)
-        self.scaled_type = np.result_type(self.cor_type, self.scale)
+        self.scaled_type = np.result_type(self.det, v_cor.data, self.scale)
 
 
 def adapt(x, y, corrections) -> Tensor:
@@ -459,9 +472,12 @@ def adapt(x, y, corrections) -> Tensor:
     linear, β·α, mul, add of each entry (kept in the test oracles): the
     detections ``x v_det`` through a contiguous v_detᵀ, the correction,
     ``*=`` β·α, the sum.  The node keeps ``x`` and the rank-d detections, not
-    the corrections.  Its vjp recomputes the corrections per range for β's
-    partial, runs the dx and detection GEMMs per range, and the dW GEMMs and
-    β's sum whole.  ``x`` is an input once per entry, last entry first, so
+    the corrections.  Its vjp walks the entries last first and runs, per
+    entry, ``linear``'s affine backward twice: for the correction map on
+    (g·β·α, detections, v_cor), giving the detection partial and dv_cor, with
+    β's ``(g * (det @ v_corᵀ)).sum() * α`` as one more whole task; then for
+    the detection map on (detection partial, x, v_detᵀ), giving dx and
+    dv_detᵀ.  ``x`` is an input once per entry, last entry first, so
     ``backward`` adds its partials in the chain's order.
     """
     x, y = _coerce(x), _coerce(y)
@@ -491,46 +507,20 @@ def adapt(x, y, corrections) -> Tensor:
     result = Tensor(np.reshape(out, y.shape))
 
     def vjp(g):
-        # per entry: g·β·α, the detections' partial, the recomputed correction, dx
-        gs, ddet, cor, dx = [], [], [], []
-        for e in entries:
-            want_det = x.requires_grad or e.v_det.requires_grad
-            gs.append(g * e.scale if want_det or e.v_cor.requires_grad else None)
-            ddet.append(np.empty(e.det.shape, np.result_type(gs[-1], e.v_cor.data)) if want_det else None)
-            cor.append(np.empty(out.shape, e.cor_type) if e.beta.requires_grad else None)
-            dx.append(np.empty(x3.shape, np.result_type(ddet[-1], e.vt)) if x.requires_grad else None)
-
-        def correction_rows(r):
-            for e, ge, de, ce in zip(entries, gs, ddet, cor):
-                if ce is not None:
-                    np.matmul(e.det[r], e.v_cor.data.T, out=ce[r])
-                if de is not None:
-                    np.matmul(np.reshape(ge[r], out[r].shape), e.v_cor.data, out=de[r])
-
-        def input_rows(r):
-            for e, de, xe in zip(entries, ddet, dx):
-                if xe is not None:
-                    np.matmul(de[r], e.vt, out=xe[r])
-
-        def d_cor(i):
-            e = entries[i]
-            if e.v_cor.requires_grad:
-                return np.reshape(gs[i], (-1, m)).T @ np.reshape(e.det, (-1, len(e.vt)))
-
-        def d_det_beta(i):
-            e, dv_det, dbeta = entries[i], None, None
-            if e.v_det.requires_grad:
-                dv_det = (np.reshape(ddet[i], (-1, len(e.vt))).T @ np.reshape(x3, (-1, n))).T
-            if cor[i] is not None:
-                dbeta = (g * np.reshape(cor[i], y.shape)).sum() * e.alpha
-            return dv_det, dbeta
-
-        ids = range(len(entries))
-        dv_cor = _split(len(x3), correction_rows, *(functools.partial(d_cor, i) for i in ids))
-        dv_det_beta = _split(len(x3), input_rows, *(functools.partial(d_det_beta, i) for i in ids))
         partials = [g if y.requires_grad else None]
-        for xe, dc, (dd, db) in reversed(list(zip(dx, dv_cor, dv_det_beta))):
-            partials += [None if xe is None else np.reshape(xe, x.shape), dd, dc, db]
+        for e in reversed(entries):
+            want_det = x.requires_grad or e.v_det.requires_grad
+
+            def d_beta(e=e):
+                if e.beta.requires_grad:
+                    return (g * np.reshape(e.det @ e.v_cor.data.T, y.shape)).sum() * e.alpha
+
+            gs = g * e.scale if want_det or e.v_cor.requires_grad else None
+            ddet, dv_cor, _, dbeta = _affine_vjp(gs, e.det, e.v_cor.data, want_det, e.v_cor.requires_grad,
+                                                 False, d_beta)
+            dx, dvt, _ = _affine_vjp(ddet, x3, e.vt, x.requires_grad, e.v_det.requires_grad)
+            partials += [None if dx is None else np.reshape(dx, x.shape), None if dvt is None else dvt.T,
+                         dv_cor, dbeta]
         return tuple(partials)
 
     inputs = (y,) + tuple(t for e in reversed(entries) for t in (x, e.v_det, e.v_cor, e.beta))
@@ -581,39 +571,18 @@ def expand(a, shape) -> Tensor:
     return _record(out, (a,), vjp)
 
 
-def _norm_axis(axis, ndim: int):
-    if axis is None:
-        return None
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(ax % ndim for ax in axis)
-
-
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a) -> Tensor:
+    """Sum over every axis."""
     a = _coerce(a)
-    axis = _norm_axis(axis, a.ndim)
-    out = Tensor(np.sum(a.data, axis=axis, keepdims=keepdims))
-
-    def vjp(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
-
-    return _record(out, (a,), vjp)
+    out = Tensor(np.sum(a.data))
+    return _record(out, (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a) -> Tensor:
+    """Mean over every axis."""
     a = _coerce(a)
-    axis = _norm_axis(axis, a.ndim)
-    count = a.size if axis is None else int(np.prod([a.shape[ax] for ax in axis]))
-    out = Tensor(np.mean(a.data, axis=axis, keepdims=keepdims))
-
-    def vjp(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.divide(np.broadcast_to(g, a.shape), count),)
-
-    return _record(out, (a,), vjp)
+    out = Tensor(np.mean(a.data))
+    return _record(out, (a,), lambda g: (np.divide(np.broadcast_to(g, a.shape), a.size),))
 
 
 def square(a) -> Tensor:

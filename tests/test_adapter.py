@@ -260,6 +260,16 @@ def test_intensity_domain():
             AdapterStack([(adapter, bad)])
 
 
+@pytest.mark.parametrize("entry", ["adapter", "triple", "bare alpha"])
+def test_stack_entries_that_are_not_adapter_alpha_pairs_raise_contract_error(entry):
+    model = build_model(TINY, seed=0)
+    adapter = init_adapter(model, rank=1)
+    bad = {"adapter": adapter, "triple": (adapter, 0.5, 0.5), "bare alpha": 0.5}[entry]
+    for build in (AdapterStack, lambda pairs: compose(model, pairs)):
+        with pytest.raises(ContractError, match=r"stack entries must be \(UfoAdapter, alpha\) pairs"):
+            build([(adapter, 0.1), bad])
+
+
 def test_adapter_kind_defaults_and_validation():
     model = build_model(TINY, seed=0)
     a = init_adapter(model, rank=1)

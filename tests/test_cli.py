@@ -445,6 +445,18 @@ def test_sweep_alphas_sharing_a_report_name_exit_2_before_sampling(tmp_path, wor
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("alpha", ["1.5", "-0.1", "nan"])
+def test_sweep_alpha_outside_0_1_exits_2_before_sampling(tmp_path, workspace, monkeypatch, capsys, alpha):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sweep sampled before refusing its arguments")
+
+    monkeypatch.setattr("ufolab.cli.sample", no_sampling)
+    assert main(["sweep", "--base", str(workspace.base), "--ufo", str(workspace.ufo),
+                 "--alphas", "0.1", alpha, "--seeds", "3", "4", "--out", str(tmp_path / "s")]) == 2
+    assert "intensity must be a number in [0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 # ---------------------------------------------------------------- inspect
 
 

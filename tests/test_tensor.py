@@ -182,16 +182,18 @@ def test_attention_refuses_mismatched_shapes_and_heads():
         T.attention(x, x, x, 3, 1.0)
 
 
-def _adapted_grads(op, dtype, order, transposed_g, needs_x, shared_x):
+def _adapted_grads(op, dtype, order, transposed_g, needs_x, shared_x, needs=("v_det", "v_cor", "beta")):
     """Output and leaf gradients of a base linear plus `op`'s corrections at
-    intensities 0.3 and 0.7, taken in `order`, on (3, 4, 5, 6) inputs."""
+    intensities 0.3 and 0.7, taken in `order`, on (3, 4, 5, 6) inputs; only
+    the adapter tensors named in `needs` require a gradient."""
     rng = np.random.default_rng(14)
 
     def leaf(*shape, needs=True):
         return Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=needs)
 
     x, w = leaf(3, 4, 5, 6, needs=needs_x), leaf(7, 6)
-    entries = [(leaf(6, 3), leaf(7, 3), leaf(), alpha) for alpha in (0.3, 0.7)]
+    entries = [(leaf(6, 3, needs="v_det" in needs), leaf(7, 3, needs="v_cor" in needs),
+                leaf(needs="beta" in needs), alpha) for alpha in (0.3, 0.7)]
     entries = [entries[i] for i in order]
     g = rng.standard_normal((3, 5, 4, 7)).astype(dtype)
     with T.recording() as tape:
@@ -223,6 +225,46 @@ def test_adapt_matches_its_chain_oracle_bit_for_bit(dtype, order, transposed_g, 
         else:
             _same_bits(got, want)
     assert nodes_ref - nodes == 6 * len(order) - 1  # one node in place of six per entry
+
+
+@pytest.mark.parametrize("needs", [("v_det",), ("v_cor",), ("beta",), ()])
+@pytest.mark.parametrize("needs_x", [False, True])
+@pytest.mark.parametrize("transposed_g", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adapt_skips_unwanted_partials_bit_for_bit(dtype, transposed_g, needs_x, needs):
+    # one adapter tensor, or none, needs a gradient: the affine backward's None and no-dx paths
+    args = (dtype, (1, 0), transposed_g, needs_x, False)
+    out, grads, _ = _adapted_grads(T.adapt, *args, needs=needs)
+    out_ref, grads_ref, _ = _adapted_grads(adapter_chain_oracle, *args, needs=needs)
+    _same_bits(out, out_ref)
+    for got, want in zip(grads, grads_ref):
+        if want is None:
+            assert got is None
+        else:
+            _same_bits(got, want)
+    assert sum(g is not None for g in grads[2:]) == 2 * len(needs)
+
+
+@pytest.mark.parametrize("needs", ["w", "b", "xw", "xb", "x"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_partials_do_not_depend_on_which_others_are_wanted(dtype, needs):
+    # the bias without W, W without the bias, and no dx: each partial has the
+    # bits it has when every input needs a gradient
+    rng = np.random.default_rng(15)
+    arrays = [rng.standard_normal(shape).astype(dtype) for shape in ((3, 4, 5, 6), (7, 6), (7,))]
+    g = rng.standard_normal((3, 4, 5, 7)).astype(dtype)
+
+    def grads(names):
+        leaves = [Tensor(a, requires_grad=name in names) for a, name in zip(arrays, "xwb")]
+        with T.recording():
+            T.backward(T.tsum(T.mul(T.linear(*leaves), Tensor(g))))
+        return [t.grad for t in leaves]
+
+    for got, want, name in zip(grads(needs), grads("xwb"), "xwb"):
+        if name in needs:
+            _same_bits(got, want)
+        else:
+            assert got is None
 
 
 def test_take_rows_values_and_duplicate_grad():
@@ -526,7 +568,7 @@ def test_finite_diff_each_primitive():
     xl, wl, w12 = lin.normal(size=(2, 5, 4)), lin.normal(size=(5, 2)), lin.normal(size=(12, 4))
     cases = [
         lambda x: T.tsum(T.square(x)),
-        lambda x: T.tmean(T.mul(x, x), axis=0),
+        lambda x: T.tmean(T.mul(x, x)),
         lambda x: T.tsum(T.exp(T.mul(0.3, x))),
         lambda x: T.tsum(T.gelu(x)),
         lambda x: T.softmax(x),  # reduced with fixed weights by the checker
